@@ -1,14 +1,9 @@
 (* Backward liveness over the recovered CFG: which NZVC condition-code
    bits, and which of R0..R14, can still be read after each instruction
-   executes.  The results feed the tier-3 slot compiler through
-   [Vax_cpu.Block_facts]: a site whose N, Z and V are provably dead gets
-   its condition-code recomputation deferred (see [State.cc_lazy]), a
-   pure register source operand whose value vaxflow proves constant on
-   every path is pre-folded to an immediate, and a longword register
-   write whose destination is provably dead is deferred into the
-   [State.reg_lazy] shadow slots and materialized at the next
-   observable boundary (see PERF.md "Callee summaries and dead-store
-   elision").
+   executes.  The result is a static fact table ([Block_facts]): dead
+   condition codes, dead longword register writes, and pure register
+   source operands that vaxflow proves constant on every path.  Nothing
+   at run time consumes it; the superblock compiler is fact-free.
 
    Soundness shape.  Liveness is a backward property: a bit is dead at a
    point iff NO path from that point reads it before writing it.  The
@@ -22,9 +17,10 @@
    - an opcode outside the modelled set reads everything ([cc_gen] and
      [reg_gen] default to all);
    - only bits an instruction overwrites on *every* non-faulting path
-     are killed.  DIVL's divide-by-zero path, which writes V alone, is
-     covered differently: exception delivery materializes any deferred
-     codes first, so the trap frame is exact whatever was elided.
+     are killed.  DIVL's divide-by-zero path, which writes V alone,
+     leaves for the exception handler: like every faulting path it is
+     outside the recovered CFG, so the kill describes the fall-through
+     only.
 
    Calls used to read everything because the callee does.  With the
    interprocedural pass ([Summaries]) a JSB/BSBB/CALLS site whose
@@ -47,7 +43,6 @@
 
 open Vax_arch
 module Disasm = Vax_asm.Disasm
-module Block_facts = Vax_cpu.Block_facts
 
 let all_cc = Block_facts.all_cc
 
@@ -259,7 +254,6 @@ let facts_of_images (images : Cfg.image list) =
         facts.Block_facts.solver_visits + st.Dataflow.visits;
       facts.Block_facts.solver_updates <-
         facts.Block_facts.solver_updates + st.Dataflow.updates;
-      let code = cfg.Cfg.image.Cfg.code and base = cfg.Cfg.image.Cfg.base in
       List.iter
         (fun (b : Cfg.block) ->
           incr nblocks;
@@ -291,10 +285,8 @@ let facts_of_images (images : Cfg.image list) =
                       facts.Block_facts.summary_fallbacks <-
                         facts.Block_facts.summary_fallbacks + 1
                   | _ -> ());
-                  (* dead longword register writes: counted, and — for
-                     R0..R13 — recorded for block-exit deferral (SP
-                     stays eager: the interrupt microcode pushes through
-                     it before any sync point) *)
+                  (* dead longword register writes: counted, and the
+                     R0..R13 subset recorded in the fact *)
                   let accs = Opcode.operands op in
                   let dead_regs = ref 0 in
                   if regs_modelled op then
@@ -331,12 +323,6 @@ let facts_of_images (images : Cfg.image list) =
                                  | _ -> [])
                                i.Disasm.specs)
                   in
-                  let off = i.Disasm.address - base in
-                  let f_bytes =
-                    if off >= 0 && off + i.Disasm.length <= Bytes.length code
-                    then Bytes.sub_string code off i.Disasm.length
-                    else ""
-                  in
                   Block_facts.add facts ~va:i.Disasm.address
                     {
                       Block_facts.f_op = op;
@@ -344,7 +330,6 @@ let facts_of_images (images : Cfg.image list) =
                       f_cc_dead = all_cc land lnot (cc_of live_after);
                       f_dead_regs = !dead_regs;
                       f_consts = consts;
-                      f_bytes;
                     }))
         cfg.Cfg.blocks)
     (List.combine cfg0s summaries)

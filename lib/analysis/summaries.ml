@@ -35,15 +35,15 @@
      static targets are fine — their push/pop is part of the composed
      protocol effect;
    - a callee path ending in HALT contributes bottom: the machine
-     stops, and every runtime inspection point materializes deferred
-     state first, so the path constrains neither kills nor reads;
+     stops, so the path constrains neither kills nor reads;
    - REI/BPT paths absorb into top (delivery elsewhere).
 
    What is NOT checked statically: a callee storing through a computed
    pointer could overwrite its own stack frame and return elsewhere.
    Like every binary-level summary analysis we assume well-behaved
-   stacks; the full-catalog differential suite enforces the assumption
-   on every shipped workload (see ANALYSIS.md).
+   stacks; on the shipped workloads a violation that sharpened a mode
+   fact wrongly would surface as an unpredicted trap under the oracle's
+   strict checking (see ANALYSIS.md).
 
    The fixpoint runs on the existing [Dataflow] worklist solver: each
    node's state is its entry summary, and a node's transfer re-derives
@@ -55,7 +55,6 @@
 
 open Vax_arch
 module Disasm = Vax_asm.Disasm
-module Block_facts = Vax_cpu.Block_facts
 
 let n_bit = Block_facts.n_bit
 let z_bit = Block_facts.z_bit
@@ -100,8 +99,8 @@ let cc_gen : Opcode.t -> int = function
    full writers set all four; MOV/CLR/MOVZ/PUSH/MOVA and the logicals
    write N and Z, clear V, and pass C through (a pass-through neither
    reads nor kills).  DIVL kills all four on its normal path; its
-   zero-divisor path is handled by materialize-at-delivery, so claiming
-   the normal path's kill here stays sound.  AOBLSS/SOBGTR write N, Z
+   zero-divisor path traps to a handler outside the recovered CFG, so
+   only the normal path's kill is claimed.  AOBLSS/SOBGTR write N, Z
    and V and keep C. *)
 let cc_kill : Opcode.t -> int = function
   | Opcode.Addl2 | Opcode.Addl3 | Opcode.Subl2 | Opcode.Subl3 | Opcode.Mull2
@@ -350,8 +349,7 @@ let of_cfg (cfg : Cfg.t) =
               match l.Disasm.opcode with
               | Some Opcode.Rsb -> rsb_effect
               | Some Opcode.Ret -> ret_effect
-              | Some Opcode.Halt -> bot  (* the machine stops; every
-                  inspection point materializes deferred state first *)
+              | Some Opcode.Halt -> bot  (* the machine stops *)
               | Some (Opcode.Rei | Opcode.Bpt) -> top
               | Some Opcode.Jmp -> (
                   (* a resolved JMP transfers without touching state;

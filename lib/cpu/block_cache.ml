@@ -42,33 +42,12 @@ type t = {
   mutable bld_n : int;
   mutable bld_pa : int;  (* start of the block being built; -1 = idle *)
   mutable bld_next_pa : int;
-  (* liveness facts: when present, the slot compiler specializes slots
-     whose VA has a proven fact (see Block_facts) *)
-  mutable facts : Block_facts.t option;
-  (* PSL<VM> context the facts describe: guest-image facts (a VM run)
-     only apply while PSL<VM> is set — the monitor's own code may reuse
-     a guest virtual address for different instructions *)
-  mutable facts_vm : bool;
-  (* when false, the slot compiler ignores [f_dead_regs] (the
-     [--no-dead-store] differential switch); CC deferral and constant
-     folding are governed separately by whether facts are installed *)
-  mutable dead_store : bool;
-  (* fact freshness stamps for runtime-modified code: va -> (page,
-     page-store-generation) recorded when a fact last passed (or was
-     first admitted after) byte verification against the live page.
-     Per-machine because page generations are per-[Phys_mem]; the fact
-     table itself is shared across machines. *)
-  fact_stamps : (int, int * int) Hashtbl.t;
   (* statistics *)
   mutable hits : int;
   mutable misses : int;
   mutable chains : int;
   mutable built : int;
   mutable invalidations : int;
-  mutable fact_slots : int;
-  mutable cc_elided : int;
-  mutable const_folded : int;
-  mutable dead_writes_elided : int;
 }
 
 let null_slot = { s_pa = -1; s_len = 0; s_gen1 = 0; s_exec = (fun _ _ -> ()) }
@@ -94,19 +73,11 @@ let create ?(size = 2048) ?(max_block = default_max_block) () =
     bld_n = 0;
     bld_pa = -1;
     bld_next_pa = -1;
-    facts = None;
-    facts_vm = false;
-    dead_store = true;
-    fact_stamps = Hashtbl.create 64;
     hits = 0;
     misses = 0;
     chains = 0;
     built = 0;
     invalidations = 0;
-    fact_slots = 0;
-    cc_elided = 0;
-    const_folded = 0;
-    dead_writes_elided = 0;
   }
 
 let slot_valid phys s =
@@ -184,33 +155,7 @@ let reset_stats t =
   t.misses <- 0;
   t.chains <- 0;
   t.built <- 0;
-  t.invalidations <- 0;
-  t.fact_slots <- 0;
-  t.cc_elided <- 0;
-  t.const_folded <- 0;
-  t.dead_writes_elided <- 0
-
-(* Gauges for the "blocks.liveness" metrics group: compile-time
-   specialization counters plus the static shape of the installed fact
-   table (all zero when no facts are installed). *)
-let liveness_metrics t =
-  let static f = match t.facts with None -> 0 | Some fx -> f fx in
-  [
-    ("enabled", if t.facts = None then 0 else 1);
-    ("fact_slots", t.fact_slots);
-    ("cc_elided", t.cc_elided);
-    ("const_folded", t.const_folded);
-    ("dead_writes_elided", t.dead_writes_elided);
-    ("sites", static Block_facts.sites);
-    ("cc_dead_sites", static Block_facts.cc_dead_sites);
-    ("const_ops", static Block_facts.const_ops);
-    ("dead_reg_writes", static (fun fx -> fx.Block_facts.dead_reg_writes));
-    ("dead_write_sites", static Block_facts.dead_write_sites);
-    ("summary_calls", static (fun fx -> fx.Block_facts.summary_calls));
-    ("summary_fallbacks", static (fun fx -> fx.Block_facts.summary_fallbacks));
-    ("solver_visits", static (fun fx -> fx.Block_facts.solver_visits));
-    ("solver_updates", static (fun fx -> fx.Block_facts.solver_updates));
-  ]
+  t.invalidations <- 0
 
 let clear t =
   Array.fill t.blocks 0 (Array.length t.blocks) empty_block;
@@ -219,5 +164,4 @@ let clear t =
   t.cur_pa <- -1;
   t.cur_va <- -1;
   t.last <- empty_block;
-  Hashtbl.reset t.fact_stamps;
   bld_reset t

@@ -6,12 +6,7 @@ type status = Stepped | Machine_halted | Stopped
 (* ------------------------------------------------------------------ *)
 (* Condition-code helpers                                              *)
 
-(* The single funnel for eager NZVC writes.  Overwriting all four codes
-   makes any deferred CC (see [State.cc_lazy]) irrelevant, so the
-   pending class is dropped here — this is what keeps an eager write
-   after an elided one correct without a materialization. *)
 let set_nzvc st ~n ~z ~v ~c =
-  st.State.cc_lazy <- 0;
   st.State.psl <- Psl.with_nzvc st.State.psl ~n ~z ~v ~c
 
 let set_nz_keep_c st value =
@@ -81,9 +76,6 @@ let do_div st a b =
   (* a / b, VAX operand order handled by caller *)
   match Word.div a b with
   | None ->
-      (* partial CC write: materialize any deferred codes first, or the
-         delivery below would overwrite the V just set *)
-      State.sync_cc st;
       st.State.psl <- Psl.with_v st.State.psl true;
       raise (State.Fault (State.Arithmetic_trap 2))
   | Some r ->
@@ -369,7 +361,6 @@ let handler_of : Opcode.t -> handler = function
         | [ src ] ->
             let v = Decode.read_value st src in
             if v land 0xFF00 <> 0 then raise (State.Fault State.Reserved_operand);
-            State.sync_cc st;
             st.State.psl <- Word.logor st.State.psl (v land 0xFF);
             false
         | _ -> bad_operands ())
@@ -379,7 +370,6 @@ let handler_of : Opcode.t -> handler = function
         | [ src ] ->
             let v = Decode.read_value st src in
             if v land 0xFF00 <> 0 then raise (State.Fault State.Reserved_operand);
-            State.sync_cc st;
             st.State.psl <- Word.logand st.State.psl (Word.lognot (v land 0xFF));
             false
         | _ -> bad_operands ())
@@ -962,53 +952,8 @@ let farg_of_spec (ts : Decode_cache.tspec) =
       FB (Word.add disp ts.Decode_cache.t_after)
   | _ -> ( match fop_of_shape ts with Some f -> FA f | None -> FX)
 
-(* Constants a liveness fact lets the compiler pre-fold, as
-   [(operand index, width-masked value)] pairs.  Folding is restricted
-   to pure register operands with [Read] access: immediates cannot be
-   written, and register autoincrement never applies to [Sh_register].
-   The value is pre-masked to the operand width because immediates are
-   read raw where registers are masked at read time.  16-bit operands
-   are left alone (no fast path reads them). *)
-let applicable_consts (fact : Block_facts.fact) (tmpl : Decode_cache.template) =
-  match fact.Block_facts.f_consts with
-  | [] -> []
-  | consts ->
-      let accs = Opcode.operands tmpl.Decode_cache.t_opcode in
-      let specs = Array.of_list tmpl.Decode_cache.t_specs in
-      List.filter_map
-        (fun (i, v) ->
-          match
-            (List.nth_opt accs i, if i < Array.length specs then Some specs.(i) else None)
-          with
-          | Some (Opcode.Read, w), Some ts -> (
-              match ts.Decode_cache.t_shape with
-              | Decode_cache.Sh_register _ -> (
-                  match w with
-                  | Opcode.Byte -> Some (i, v land 0xFF)
-                  | Opcode.Long -> Some (i, Word.mask v)
-                  | Opcode.Word -> None)
-              | _ -> None)
-          | _ -> None)
-        consts
-
-(* Operand list for the fast compilers, with fact-proven constants
-   folded to immediates.  Cycle-identical: [F_imm] and [F_reg] sit in
-   the same pattern class at every fast-path use site, with the same
-   charges and no fault points in either. *)
-let fargs_of_tmpl ?fact (tmpl : Decode_cache.template) =
-  let raw = List.map farg_of_spec tmpl.Decode_cache.t_specs in
-  match fact with
-  | None -> raw
-  | Some f -> (
-      match applicable_consts f tmpl with
-      | [] -> raw
-      | app ->
-          List.mapi
-            (fun i fa ->
-              match List.assoc_opt i app with
-              | Some v -> FA (F_imm v)
-              | None -> fa)
-            raw)
+let fargs_of_tmpl (tmpl : Decode_cache.template) =
+  List.map farg_of_spec tmpl.Decode_cache.t_specs
 
 let charge_spec st = Cycles.charge st.State.clock Cost.operand_specifier
 
@@ -1079,86 +1024,12 @@ let wr = function F_imm _ -> false | F_reg _ | F_mem _ -> true
    A fault raised by [dispatch_fault] itself propagates, as in
    [step]. *)
 
-let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
+let compile_fast_hot (tmpl : Decode_cache.template) =
   let op = tmpl.Decode_cache.t_opcode in
   let len = tmpl.Decode_cache.t_len in
   let base = Opcode.base_cycles op in
   let enc = enc_int op in
   let spec = Cost.operand_specifier in
-  (* Liveness-guided specialization: when the fact proves N, Z and V
-     dead after this instruction, the CC helpers below are shadowed by
-     deferring versions — they record the would-be CC source in
-     [State.cc_lazy]/[cc_value] instead of computing the bits.  The
-     pending write is dropped wholesale by the next eager [set_nzvc]
-     (the common case: the next CC writer kills it) or materialized by
-     the first PSL observer via [State.sync_cc].  The C bit is never
-     deferred: classes 1/2 keep it and the TST helpers clear it eagerly,
-     so [psl]'s C is exact at all times and an interleaved eager keep-C
-     write (cold path, unfacted slot) reads the right value. *)
-  let nzv_dead =
-    match fact with
-    | Some f -> f.Block_facts.f_cc_dead land Block_facts.nzv = Block_facts.nzv
-    | None -> false
-  in
-  let set_nz_keep_c =
-    if nzv_dead then fun st v ->
-      st.State.cc_lazy <- 1;
-      st.State.cc_value <- v
-    else set_nz_keep_c
-  in
-  let set_nz_byte_keep_c =
-    if nzv_dead then fun st v ->
-      st.State.cc_lazy <- 2;
-      st.State.cc_value <- v
-    else set_nz_byte_keep_c
-  in
-  let do_logic =
-    if nzv_dead then fun st f a b ->
-      let r = f a b in
-      st.State.cc_lazy <- 1;
-      st.State.cc_value <- r;
-      r
-    else do_logic
-  in
-  let set_cc_tstl =
-    if nzv_dead then fun st v ->
-      st.State.psl <- Psl.with_c st.State.psl false;
-      st.State.cc_lazy <- 3;
-      st.State.cc_value <- v
-    else fun st v ->
-      set_nzvc st ~n:(Word.to_signed v < 0) ~z:(v = 0) ~v:false ~c:false
-  in
-  let set_cc_tstb =
-    if nzv_dead then fun st v ->
-      st.State.psl <- Psl.with_c st.State.psl false;
-      st.State.cc_lazy <- 4;
-      st.State.cc_value <- v
-    else fun st v ->
-      set_nzvc st ~n:(v land 0x80 <> 0) ~z:(v = 0) ~v:false ~c:false
-  in
-  (* Interprocedural dead-store deferral: when the fact proves this
-     longword register write dead on every path (including across
-     JSB/CALLS sites via callee summaries), the value is parked in the
-     shadow slot and the register's bit set in [State.reg_lazy]; the
-     register file is updated only by [State.sync_regs] at observable
-     boundaries.  The eager variant carries a pending-bit clear — it
-     may be the killer write for a deferral made by an earlier slot —
-     matching the clear in [State.set_reg] for the generic paths.
-     Modify-class and byte register destinations read the register
-     first, so liveness guarantees they never see a pending one and
-     they need no clear. *)
-  let dead_regs =
-    match fact with Some f -> f.Block_facts.f_dead_regs | None -> 0
-  in
-  let wr_reg dr =
-    if dead_regs land (1 lsl dr) <> 0 then fun st v ->
-      st.State.reg_lazy <- st.State.reg_lazy lor (1 lsl dr);
-      Array.unsafe_set st.State.reg_shadow dr (Word.mask v)
-    else fun st v ->
-      if st.State.reg_lazy <> 0 then
-        st.State.reg_lazy <- st.State.reg_lazy land lnot (1 lsl dr);
-      Array.unsafe_set st.State.regs dr (Word.mask v)
-  in
   let commit st =
     st.State.instructions <- st.State.instructions + 1;
     let was_vm = Psl.vm st.State.psl in
@@ -1404,7 +1275,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
     | (F_imm _ | F_reg _), (F_imm _ | F_reg _), F_reg dr ->
         let rda = rd_pure a in
         let rdb = rd_pure b in
-        let wr = wr_reg dr in
         let call = (3 * spec) + base in
         Some
           (fun st pc ->
@@ -1418,7 +1288,7 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
             match f st av bv with
             | exception State.Fault fe -> fault1 st pc fe
             | r ->
-                wr st r;
+                Array.unsafe_set st.State.regs dr (Word.mask r);
                 if ovf && Psl.v st.State.psl && Psl.iv st.State.psl then
                   fault1 st pc (State.Arithmetic_trap 1)
                 else begin
@@ -1432,7 +1302,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
     | F_mem aa, (F_imm _ | F_reg _), F_reg dr ->
         let rda = rd_mem aa in
         let rdb = rd_pure b in
-        let wr = wr_reg dr in
         let tail = (2 * spec) + base in
         Some
           (fun st pc ->
@@ -1446,13 +1315,12 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
                 match f st av bv with
                 | exception State.Fault fe -> fault1 st pc fe
                 | r ->
-                    wr st r;
+                    Array.unsafe_set st.State.regs dr (Word.mask r);
                     if ovf then ovf_finish st pc was_vm
                     else finish st pc was_vm))
     | (F_imm _ | F_reg _), F_mem ba, F_reg dr ->
         let rda = rd_pure a in
         let rdb = rd_mem ba in
-        let wr = wr_reg dr in
         let tail = spec + base in
         Some
           (fun st pc ->
@@ -1466,12 +1334,12 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
                 match f st av bv with
                 | exception State.Fault fe -> fault1 st pc fe
                 | r ->
-                    wr st r;
+                    Array.unsafe_set st.State.regs dr (Word.mask r);
                     if ovf then ovf_finish st pc was_vm
                     else finish st pc was_vm))
     | _ -> None
   in
-  match (op, fargs_of_tmpl ?fact tmpl) with
+  match (op, fargs_of_tmpl tmpl) with
   | Opcode.Nop, [] ->
       Some
         (fun st pc ->
@@ -1482,7 +1350,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
       match (s, d) with
       | (F_imm _ | F_reg _), F_reg dr ->
           let rd = rd_pure s in
-          let wr = wr_reg dr in
           let call = (2 * spec) + base in
           Some
             (fun st pc ->
@@ -1492,7 +1359,7 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
               if was_vm then
                 st.State.vm_instructions <- st.State.vm_instructions + 1;
               let v = rd st in
-              wr st v;
+              Array.unsafe_set st.State.regs dr (Word.mask v);
               set_nz_keep_c st v;
               State.set_pc st (Word.add pc len);
               let tr = st.State.trace in
@@ -1502,7 +1369,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
                   pc)
       | F_mem a, F_reg dr ->
           let rd = rd_mem a in
-          let wr = wr_reg dr in
           let tail = spec + base in
           Some
             (fun st pc ->
@@ -1515,7 +1381,7 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
                   let was_vm = Psl.vm st.State.psl in
                   if was_vm then
                     st.State.vm_instructions <- st.State.vm_instructions + 1;
-                  wr st v;
+                  Array.unsafe_set st.State.regs dr (Word.mask v);
                   set_nz_keep_c st v;
                   State.set_pc st (Word.add pc len);
                   let tr = st.State.trace in
@@ -1628,21 +1494,19 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
       match s with
       | F_imm _ | F_reg _ ->
           let rd = rd_pure_b s in
-          let wr = wr_reg dr in
           let call = (2 * spec) + base in
           Some
             (fun st pc ->
               Cycles.charge st.State.clock call;
               let was_vm = commit st in
               let v = rd st land 0xFF in
-              wr st v;
+              Array.unsafe_set st.State.regs dr (Word.mask v);
               (* zero-extended, so N is false either way: the long
-                 keep-C helper computes the same bits and defers *)
+                 keep-C helper computes the same bits *)
               set_nz_keep_c st v;
               finish st pc was_vm)
       | F_mem a ->
           let rd = rd_mem_b a in
-          let wr = wr_reg dr in
           let tail = spec + base in
           Some
             (fun st pc ->
@@ -1653,17 +1517,16 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
                   Cycles.charge st.State.clock tail;
                   let was_vm = commit st in
                   let v = v0 land 0xFF in
-                  wr st v;
+                  Array.unsafe_set st.State.regs dr (Word.mask v);
                   set_nz_keep_c st v;
                   finish st pc was_vm))
   | Opcode.Clrl, [ FA (F_reg dr) ] ->
-      let wr = wr_reg dr in
       let call = spec + base in
       Some
         (fun st pc ->
           Cycles.charge st.State.clock call;
           let was_vm = commit st in
-          wr st 0;
+          Array.unsafe_set st.State.regs dr 0;
           set_nz_keep_c st 0;
           finish st pc was_vm)
   | Opcode.Clrl, [ FA (F_mem a) ] ->
@@ -1707,7 +1570,7 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
           Cycles.charge st.State.clock call;
           let was_vm = commit st in
           let v = rd st in
-          set_cc_tstl st v;
+          set_nzvc st ~n:(Word.to_signed v < 0) ~z:(v = 0) ~v:false ~c:false;
           finish st pc was_vm)
   | Opcode.Tstl, [ FA (F_mem a) ] ->
       let rd = rd_mem a in
@@ -1719,7 +1582,7 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
           | v ->
               Cycles.charge st.State.clock base;
               let was_vm = commit st in
-              set_cc_tstl st v;
+              set_nzvc st ~n:(Word.to_signed v < 0) ~z:(v = 0) ~v:false ~c:false;
               finish st pc was_vm)
   | Opcode.Tstb, [ FA ((F_imm _ | F_reg _) as s) ] ->
       let rd = rd_pure_b s in
@@ -1729,7 +1592,7 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
           Cycles.charge st.State.clock call;
           let was_vm = commit st in
           let v = rd st land 0xFF in
-          set_cc_tstb st v;
+          set_nzvc st ~n:(v land 0x80 <> 0) ~z:(v = 0) ~v:false ~c:false;
           finish st pc was_vm)
   | Opcode.Tstb, [ FA (F_mem a) ] ->
       let rd = rd_mem_b a in
@@ -1742,7 +1605,7 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
               Cycles.charge st.State.clock base;
               let was_vm = commit st in
               let v = v0 land 0xFF in
-              set_cc_tstb st v;
+              set_nzvc st ~n:(v land 0x80 <> 0) ~z:(v = 0) ~v:false ~c:false;
               finish st pc was_vm)
   | Opcode.Cmpl, [ FA a; FA b ] -> (
       match (a, b) with
@@ -1886,14 +1749,13 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
                   finish st pc was_vm))
   | Opcode.Moval, [ FA (F_mem a); FA (F_reg dr) ] ->
       let va = va_of a in
-      let wr = wr_reg dr in
       let call = (2 * spec) + base in
       Some
         (fun st pc ->
           Cycles.charge st.State.clock call;
           let was_vm = commit st in
           let v = va st pc in
-          wr st v;
+          Array.unsafe_set st.State.regs dr (Word.mask v);
           set_nz_keep_c st v;
           finish st pc was_vm)
   | Opcode.Moval, [ FA (F_mem a); FA (F_mem da) ] ->
@@ -1984,18 +1846,16 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
               | () -> ovf_finish st pc was_vm))
   | Opcode.Mnegl, [ FA ((F_imm _ | F_reg _) as s); FA (F_reg dr) ] ->
       let rd = rd_pure s in
-      let wr = wr_reg dr in
       let call = (2 * spec) + base in
       Some
         (fun st pc ->
           Cycles.charge st.State.clock call;
           let was_vm = commit st in
           let r = do_sub st 0 (rd st) in
-          wr st r;
+          Array.unsafe_set st.State.regs dr (Word.mask r);
           ovf_finish st pc was_vm)
   | Opcode.Mnegl, [ FA (F_mem a); FA (F_reg dr) ] ->
       let rd = rd_mem a in
-      let wr = wr_reg dr in
       let tail = spec + base in
       Some
         (fun st pc ->
@@ -2006,7 +1866,7 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
               Cycles.charge st.State.clock tail;
               let was_vm = commit st in
               let r = do_sub st 0 sv in
-              wr st r;
+              Array.unsafe_set st.State.regs dr (Word.mask r);
               ovf_finish st pc was_vm)
   | Opcode.Addl2, [ FA s; FA d ] -> arith2 s d do_add ~ovf:true
   | Opcode.Subl2, [ FA s; FA d ] -> arith2 s d do_sub ~ovf:true
@@ -2158,7 +2018,7 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
    [dispatch_fault] itself propagates, as in [step].  The hottest
    opcode/operand combinations never reach this compiler — see
    [compile_fast_hot] below. *)
-let compile_fast_gen ?fact (tmpl : Decode_cache.template) =
+let compile_fast_gen (tmpl : Decode_cache.template) =
   let op = tmpl.Decode_cache.t_opcode in
   let len = tmpl.Decode_cache.t_len in
   let base = Opcode.base_cycles op in
@@ -2225,7 +2085,7 @@ let compile_fast_gen ?fact (tmpl : Decode_cache.template) =
         if ovf then check_overflow_trap st;
         finish st pc was_vm)
   in
-  match (op, fargs_of_tmpl ?fact tmpl) with
+  match (op, fargs_of_tmpl tmpl) with
   | Opcode.Nop, [] ->
       slot (fun st pc np ->
           np := Word.add pc len;
@@ -2472,10 +2332,10 @@ let compile_fast_gen ?fact (tmpl : Decode_cache.template) =
           retire st pc was_vm)
   | _ -> None
 
-let compile_fast ?fact tmpl =
-  match compile_fast_hot ?fact tmpl with
+let compile_fast tmpl =
+  match compile_fast_hot tmpl with
   | Some _ as r -> r
-  | None -> compile_fast_gen ?fact tmpl
+  | None -> compile_fast_gen tmpl
 
 (* Generic slot: [Decode.operandize] against the cached template with the
    handler and constants pre-resolved — the body of [step] after its
@@ -2502,8 +2362,8 @@ let generic_slot (tmpl : Decode_cache.template) =
           start_pc
     with State.Fault f -> fault_finish st !decoded ~start_pc f
 
-let compile_slot ?fact tmpl =
-  match compile_fast ?fact tmpl with Some f -> f | None -> generic_slot tmpl
+let compile_slot tmpl =
+  match compile_fast tmpl with Some f -> f | None -> generic_slot tmpl
 
 (* Block enders: everything that sets the PC ends a block (and is its
    last slot). *)
@@ -2544,28 +2404,7 @@ let finish_builder st (bc : Block_cache.t) =
    on the page of [b_pa], guarded by that page's store generation alone,
    and the block survives translation changes (every instruction that
    can change translations is itself block-excluded). *)
-(* Opcodes whose hot arms defer the CC write when a fact proves N, Z
-   and V dead (the shadowed helpers in [compile_fast_hot]); used only
-   for the [cc_elided] compile-time gauge. *)
-let cc_deferrable = function
-  | Opcode.Movl | Opcode.Movb | Opcode.Movzbl | Opcode.Clrl | Opcode.Clrb
-  | Opcode.Pushl | Opcode.Moval | Opcode.Tstl | Opcode.Tstb | Opcode.Bisl2
-  | Opcode.Bisl3 | Opcode.Bicl2 | Opcode.Bicl3 | Opcode.Xorl2 | Opcode.Xorl3
-    ->
-      true
-  | _ -> false
-
-(* Opcodes whose register-destination hot arms defer the write through
-   [wr_reg] when the fact proves it dead; used for the
-   [dead_writes_elided] compile-time gauge. *)
-let reg_deferrable = function
-  | Opcode.Movl | Opcode.Movzbl | Opcode.Clrl | Opcode.Moval | Opcode.Mnegl
-  | Opcode.Addl3 | Opcode.Subl3 | Opcode.Mull3 | Opcode.Divl3 | Opcode.Bisl3
-  | Opcode.Bicl3 | Opcode.Xorl3 ->
-      true
-  | _ -> false
-
-let feed_builder st (bc : Block_cache.t) pa ~va (tmpl : Decode_cache.template) =
+let feed_builder st (bc : Block_cache.t) pa (tmpl : Decode_cache.template) =
   let open Block_cache in
   let phys = Mmu.phys st.State.mmu in
   (* a control-flow discontinuity ends the pending prefix (it is still a
@@ -2581,81 +2420,12 @@ let feed_builder st (bc : Block_cache.t) pa ~va (tmpl : Decode_cache.template) =
   then finish_builder st bc
   else begin
     if not (bld_active bc) then bld_begin bc ~pa;
-    (* liveness facts are keyed by the virtual PC the analysis saw; the
-       opcode/length guard in [Block_facts.find] rejects stale ones, and
-       the PSL<VM> gate keeps guest-image facts off monitor code that
-       happens to reuse a guest virtual address *)
-    let fact =
-      match bc.facts with
-      | Some fx when Psl.vm st.State.psl = bc.facts_vm ->
-          Block_facts.find fx ~va ~op ~len
-      | _ -> None
-    in
-    (* runtime-modified code: beyond the opcode/length guard, verify the
-       fact's analyzed bytes against the live page once per store
-       generation (the stamp memoizes a pass; stores to the page bump
-       its generation and force a re-check).  A same-opcode byte patch
-       — a changed immediate or displacement — therefore rejects the
-       fact instead of specializing on stale analysis. *)
-    let fact =
-      match fact with
-      | Some f when f.Block_facts.f_bytes <> "" -> (
-          let page = pa lsr Addr.page_shift in
-          let gen = Phys_mem.page_gen phys page in
-          match Hashtbl.find_opt bc.fact_stamps va with
-          | Some (p, g) when p = page && g = gen -> fact
-          | _ ->
-              let b = f.Block_facts.f_bytes in
-              let fresh = ref true in
-              String.iteri
-                (fun k c ->
-                  if Phys_mem.read_byte phys (pa + k) <> Char.code c then
-                    fresh := false)
-                b;
-              if !fresh then begin
-                Hashtbl.replace bc.fact_stamps va (page, gen);
-                fact
-              end
-              else None)
-      | f -> f
-    in
-    (* a fact that proves nothing useful compiles exactly like no fact;
-       drop it here so the compiler skips the specialization plumbing
-       for the ~40% of sites liveness cannot improve.  The
-       [--no-dead-store] switch strips the dead-register mask first. *)
-    let fact =
-      match fact with
-      | Some f when (not bc.dead_store) && f.Block_facts.f_dead_regs <> 0 ->
-          Some { f with Block_facts.f_dead_regs = 0 }
-      | f -> f
-    in
-    let fact =
-      match fact with
-      | Some f
-        when f.Block_facts.f_cc_dead land Block_facts.nzv <> Block_facts.nzv
-             && f.Block_facts.f_consts = []
-             && f.Block_facts.f_dead_regs = 0 ->
-          None
-      | f -> f
-    in
-    (match fact with
-    | None -> ()
-    | Some f ->
-        bc.fact_slots <- bc.fact_slots + 1;
-        if
-          f.Block_facts.f_cc_dead land Block_facts.nzv = Block_facts.nzv
-          && cc_deferrable op
-        then bc.cc_elided <- bc.cc_elided + 1;
-        if f.Block_facts.f_dead_regs <> 0 && reg_deferrable op then
-          bc.dead_writes_elided <- bc.dead_writes_elided + 1;
-        bc.const_folded <-
-          bc.const_folded + List.length (applicable_consts f tmpl));
     bld_append bc
       {
         s_pa = pa;
         s_len = len;
         s_gen1 = Phys_mem.page_gen phys (pa lsr Addr.page_shift);
-        s_exec = compile_slot ?fact tmpl;
+        s_exec = compile_slot tmpl;
       };
     if is_pc_setter op || Addr.offset pa + len >= Addr.page_size || bld_full bc
     then finish_builder st bc
@@ -2663,11 +2433,6 @@ let feed_builder st (bc : Block_cache.t) pa ~va (tmpl : Decode_cache.template) =
 
 (* Cold path: the per-step decode pipeline, plus feeding the builder. *)
 let step_cold st (bc : Block_cache.t) pa start_pc =
-  (* the generic handlers assume a live PSL (branches read it, CHMx and
-     REI push or replace it) and a live register file: materialize any
-     deferred codes and register writes first *)
-  State.sync_cc st;
-  State.sync_regs st;
   bc.Block_cache.misses <- bc.Block_cache.misses + 1;
   bc.Block_cache.cur_pa <- -1;
   bc.Block_cache.cur_va <- -1;
@@ -2676,14 +2441,14 @@ let step_cold st (bc : Block_cache.t) pa start_pc =
     let d =
       match Decode_cache.find st.State.dcache ~mmu:st.State.mmu pa with
       | tmpl ->
-          feed_builder st bc pa ~va:start_pc tmpl;
+          feed_builder st bc pa tmpl;
           Decode.operandize st tmpl ~start_pc
       | exception Not_found ->
           let d = Decode.decode st in
           Decode_cache.store st.State.dcache ~mmu:st.State.mmu
             ?pa2:(straddle_pa2 st start_pc d.Decode.tmpl pa)
             pa d.Decode.tmpl;
-          feed_builder st bc pa ~va:start_pc d.Decode.tmpl;
+          feed_builder st bc pa d.Decode.tmpl;
           d
     in
     decoded := Some d;
@@ -2897,11 +2662,7 @@ let run_blocks st bc ?(max_instructions = max_int) () =
       | Stepped -> loop (n - 1)
       | (Machine_halted | Stopped) as s -> s
   in
-  let s = loop max_instructions in
-  (* the caller is about to observe the PSL and the register file *)
-  State.sync_cc st;
-  State.sync_regs st;
-  s
+  loop max_instructions
 
 (* Which execution engine a machine uses; [Blocks] is the default
    everywhere, [Stepper] is the reference interpreter. *)

@@ -85,23 +85,6 @@ type t = {
   dcache : Decode_cache.t;  (** decoded-instruction cache (see {!Decode_cache}) *)
   regs : Word.t array;  (** R0–R15; R14 = SP of current mode, R15 = PC *)
   mutable psl : Psl.t;
-  mutable cc_lazy : int;
-      (** deferred condition codes (liveness-guided superblocks): 0 =
-          [psl] holds the live NZVC; otherwise the slot compiler proved
-          N, Z and V dead and recorded the would-be CC source in
-          [cc_value] instead of updating [psl] — class 1 long/keep-C,
-          2 byte/keep-C, 3 long/clear-C, 4 byte/clear-C.  Every PSL
-          observer calls {!sync_cc} first, so the deferral is
-          architecturally invisible. *)
-  mutable cc_value : Word.t;  (** the deferred CC source value *)
-  mutable reg_lazy : int;
-      (** deferred dead register writes (interprocedural dead-store
-          elision): a set bit [rn] (R0..R13 only) means the slot
-          compiler proved the last longword write to [rn] dead and
-          parked the value in [reg_shadow.(rn)] instead of the register
-          file.  Every register-observing boundary calls {!sync_regs}
-          first, so the deferral is architecturally invisible. *)
-  reg_shadow : Word.t array;  (** the deferred register values *)
   sp_bank : Word.t array;  (** kernel, executive, supervisor, user, interrupt *)
   mutable vmpsl : Word.t;  (** modified VAX only; zero otherwise *)
   mutable vmpend : int;  (** highest pending virtual interrupt level *)
@@ -155,19 +138,6 @@ val sid_virtual_vax : Word.t
     specific member of the family" (paper §8) with its own SID. *)
 
 (** {1 Register and PSL helpers} *)
-
-val sync_cc : t -> unit
-(** Materialize deferred condition codes into [psl] (no-op when none
-    are pending).  Called by every PSL observer — exception delivery,
-    the cold decode path, PSW-reading instructions, and run-loop exits
-    — before the PSL is read, pushed, or partially written. *)
-
-val sync_regs : t -> unit
-(** Materialize deferred dead register writes from [reg_shadow] into
-    the register file (no-op when none are pending).  Called at every
-    register-observing boundary — exception and interrupt delivery,
-    the cold decode path, and run-loop exits — so a write the analysis
-    proved dead is deferred, never elided from architectural state. *)
 
 val pc : t -> Word.t
 val set_pc : t -> Word.t -> unit

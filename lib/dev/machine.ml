@@ -101,8 +101,6 @@ let create ?(variant = Variant.Standard) ?(memory_pages = 2048)
       Block_cache.built bcache);
   Vax_obs.Metrics.register metrics "blocks.invalidations" (fun () ->
       Block_cache.invalidations bcache);
-  Vax_obs.Metrics.register_group metrics "blocks.liveness" (fun () ->
-      Block_cache.liveness_metrics bcache);
   (* Arm the fault-injection engine (everything below is skipped — and
      the [fault.*] gauge group never registered — when no plan is
      armed, so a disarmed machine's metrics and behaviour stay
@@ -188,11 +186,6 @@ let run t ?(max_cycles = 100_000_000) () =
     | Exec.Stopped -> Stopped
   in
   let outcome = loop () in
-  (* anything inspecting the stopped machine (tests, the VMM between
-     [run] calls, state comparison) must see a live PSL and register
-     file *)
-  State.sync_cc t.cpu;
-  State.sync_regs t.cpu;
   (* a halt recorded by [State.double_fault_halt] is its own outcome *)
   match outcome with
   | Halted when t.cpu.State.double_fault <> None -> Double_fault

@@ -77,41 +77,8 @@ let register_flow_metrics m oracle =
   Vax_obs.Metrics.register_group m.Machine.metrics "analysis.flow" (fun () ->
       Oracle.flow_metrics oracle)
 
-(* Liveness facts for the superblock compiler, memoized exactly like the
-   oracle: the pass is pure in the built images, and the fact table is
-   read-only once constructed, so one table serves every machine (and
-   domain) running the same workload.  Unlike the oracle the table does
-   not depend on the mode assumption — bare and VM runs share an entry;
-   the PSL<VM> context gate lives in the block cache, not the table. *)
-let facts_cache : (Minivms.built list * Block_facts.t) list ref = ref []
-let facts_cache_lock = Mutex.create ()
-let max_cached_facts = 8
-
-let make_facts (builts : Minivms.built list) =
-  let same (bs, _) =
-    List.length bs = List.length builts && List.for_all2 ( == ) bs builts
-  in
-  Mutex.protect facts_cache_lock (fun () ->
-      match List.find_opt same !facts_cache with
-      | Some (_, f) -> f
-      | None ->
-          let images = List.concat_map images_of_built builts in
-          let f, _stats = Liveness.facts_of_images images in
-          facts_cache :=
-            (builts, f)
-            :: (if List.length !facts_cache >= max_cached_facts then
-                  List.filteri (fun i _ -> i < max_cached_facts - 1) !facts_cache
-                else !facts_cache);
-          f)
-
-let install_facts m ~vm ~dead_store builts =
-  m.Machine.bcache.Block_cache.facts <- Some (make_facts builts);
-  m.Machine.bcache.Block_cache.facts_vm <- vm;
-  m.Machine.bcache.Block_cache.dead_store <- dead_store
-
 let run_bare ?(variant = Variant.Standard) ?engine ?inject ?instrument
-    ?(flow = true) ?(liveness = true) ?(dead_store = true)
-    ?(max_cycles = default_max) (built : Minivms.built) =
+    ?(flow = true) ?(max_cycles = default_max) (built : Minivms.built) =
   let m =
     Machine.create ~variant ~memory_pages:1024 ~disk_blocks:256 ?engine
       ?inject ()
@@ -119,7 +86,6 @@ let run_bare ?(variant = Variant.Standard) ?engine ?inject ?instrument
   let oracle = make_oracle ~mode:Classify.Bare ~flow [ built ] in
   Oracle.install ~strict:(inject = None) oracle m.Machine.cpu;
   register_flow_metrics m oracle;
-  if liveness then install_facts m ~vm:false ~dead_store [ built ];
   (match instrument with Some f -> f m | None -> ());
   List.iter
     (fun (pa, data) -> Machine.load m pa data)
@@ -153,8 +119,7 @@ let measure_vm m vmm vm outcome oracle =
   }
 
 let run_vm ?config ?io_mode ?engine ?inject ?instrument ?(flow = true)
-    ?(liveness = true) ?(dead_store = true) ?(max_cycles = default_max)
-    (built : Minivms.built) =
+    ?(max_cycles = default_max) (built : Minivms.built) =
   let m =
     Machine.create ~variant:Variant.Virtualizing ~memory_pages:2048
       ~disk_blocks:256 ?engine ?inject ()
@@ -163,7 +128,6 @@ let run_vm ?config ?io_mode ?engine ?inject ?instrument ?(flow = true)
   let oracle = make_oracle ~mode:Classify.Vm ~flow [ built ] in
   Oracle.install ~strict:(inject = None) oracle m.Machine.cpu;
   register_flow_metrics m oracle;
-  if liveness then install_facts m ~vm:true ~dead_store [ built ];
   let vm =
     Vmm.add_vm vmm ~name:"guest" ~memory_pages:built.Minivms.memsize
       ~disk_blocks:64 ?io_mode ~images:built.Minivms.images
@@ -174,8 +138,7 @@ let run_vm ?config ?io_mode ?engine ?inject ?instrument ?(flow = true)
   measure_vm m vmm vm outcome oracle
 
 let run_two_vms ?config ?engine ?inject ?instrument ?(flow = true)
-    ?(liveness = true) ?(dead_store = true) ?(max_cycles = default_max)
-    (b1 : Minivms.built) (b2 : Minivms.built) =
+    ?(max_cycles = default_max) (b1 : Minivms.built) (b2 : Minivms.built) =
   let m =
     Machine.create ~variant:Variant.Virtualizing ~memory_pages:2048
       ~disk_blocks:256 ?engine ?inject ()
@@ -184,7 +147,6 @@ let run_two_vms ?config ?engine ?inject ?instrument ?(flow = true)
   let oracle = make_oracle ~mode:Classify.Vm ~flow [ b1; b2 ] in
   Oracle.install ~strict:(inject = None) oracle m.Machine.cpu;
   register_flow_metrics m oracle;
-  if liveness then install_facts m ~vm:true ~dead_store [ b1; b2 ];
   let vm1 =
     Vmm.add_vm vmm ~name:"vm1" ~memory_pages:b1.Minivms.memsize
       ~disk_blocks:64 ~images:b1.Minivms.images ~start_pc:b1.Minivms.entry ()

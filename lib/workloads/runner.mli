@@ -35,8 +35,6 @@ val run_bare :
   ?inject:Vax_fault.Engine.t ->
   ?instrument:(Machine.t -> unit) ->
   ?flow:bool ->
-  ?liveness:bool ->
-  ?dead_store:bool ->
   ?max_cycles:int ->
   Minivms.built ->
   measurement
@@ -51,18 +49,8 @@ val run_bare :
     [flow] (default [true]) builds the oracle's static pass
     flow-sensitively (vaxflow); its gauges register as
     ["analysis.flow.*"] in the machine's metrics.
-    [liveness] (default [true]) runs the backward NZVC/register
-    liveness pass over the workload's images and installs the resulting
-    fact table in the machine's block cache, letting the superblock
-    compiler defer provably dead condition-code recomputation and fold
-    proven-constant register operands; gauges register as
-    ["blocks.liveness.*"].
-    [dead_store] (default [true]) additionally lets the compiler defer
-    register writes the interprocedural summary-sharpened liveness pass
-    proved dead into shadow slots ({!State.reg_lazy}), materialized at
-    every observable boundary; only meaningful when [liveness] is on.
-    Simulated cycles, trace events and TLB statistics are bit-identical
-    with either switch on or off — only wall-clock changes. *)
+    Simulated cycles, trace events and TLB statistics are
+    bit-identical with either engine — only wall-clock changes. *)
 
 val run_vm :
   ?config:Vmm.config ->
@@ -71,8 +59,6 @@ val run_vm :
   ?inject:Vax_fault.Engine.t ->
   ?instrument:(Machine.t -> unit) ->
   ?flow:bool ->
-  ?liveness:bool ->
-  ?dead_store:bool ->
   ?max_cycles:int ->
   Minivms.built ->
   measurement
@@ -86,8 +72,6 @@ val run_two_vms :
   ?inject:Vax_fault.Engine.t ->
   ?instrument:(Machine.t -> unit) ->
   ?flow:bool ->
-  ?liveness:bool ->
-  ?dead_store:bool ->
   ?max_cycles:int ->
   Minivms.built ->
   Minivms.built ->

@@ -10,7 +10,8 @@
 
    They also pin down the invalidation rules: self-modifying code must
    take effect at the same instruction boundary under both engines, even
-   when the store targets a later instruction of the *same* block, and a
+   when the store targets a later instruction of the *same* block or
+   rewrites only an operand specifier (same opcode, same length), and a
    store into the second page of a page-straddling instruction must
    invalidate its cached decode. *)
 
@@ -225,6 +226,35 @@ let test_smc_across_blocks () =
   (* two INCLs then the patched DECL: 1 + 1 - 1 *)
   check_int "patched subroutine re-decoded" 1 (List.nth regs 0)
 
+(* Self-modifying code that rewrites an operand specifier without
+   changing the opcode or the instruction length: the ADDL2 first adds
+   R0 = 5, then the store retargets its source specifier to R3 = 9.  A
+   cached slot keyed only on opcode and length would keep adding 5 on
+   the second iteration; the store generation must force a re-decode. *)
+let test_smc_operand_patch () =
+  let run engine =
+    let cpu, _ =
+      boot ~engine (fun a ->
+          Asm.ins a Opcode.Movl [ Asm.Imm 2; Asm.R 2 ];
+          Asm.ins a Opcode.Movl [ Asm.Imm 5; Asm.R 0 ];
+          Asm.ins a Opcode.Movl [ Asm.Imm 9; Asm.R 3 ];
+          Asm.label a "loop";
+          Asm.ins a Opcode.Clrl [ Asm.R 1 ];
+          let addl2 = Asm.here a in
+          Asm.ins a Opcode.Addl2 [ Asm.R 0; Asm.R 1 ];
+          (* 0x53 is the register-mode specifier for R3 *)
+          Asm.ins a Opcode.Movb [ Asm.Imm 0x53; Asm.Abs (addl2 + 1) ];
+          Asm.ins a Opcode.Sobgtr [ Asm.R 2; Asm.Branch "loop" ];
+          Asm.ins a Opcode.Halt [])
+    in
+    (match Cpu.run cpu ~max_instructions:1000 () with
+    | Exec.Machine_halted -> ()
+    | _ -> Alcotest.fail "no halt");
+    cpu_summary cpu
+  in
+  let (regs, _, _, _) = both_engines run in
+  check_int "patched operand re-read" 9 (List.nth regs 1)
+
 (* A page-straddling instruction whose second page is stored into must
    be re-decoded: the decode cache records both pages' generations. *)
 let test_straddler_invalidation () =
@@ -289,6 +319,8 @@ let () =
         [
           Alcotest.test_case "smc inside a block" `Quick test_smc_inside_block;
           Alcotest.test_case "smc across blocks" `Quick test_smc_across_blocks;
+          Alcotest.test_case "smc same-opcode operand patch" `Quick
+            test_smc_operand_patch;
           Alcotest.test_case "page-straddler second-page store" `Quick
             test_straddler_invalidation;
         ] );

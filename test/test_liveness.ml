@@ -1,14 +1,4 @@
-(* Liveness-guided superblock compilation tests.
-
-   The liveness facts are a pure host-speed optimisation: compiling
-   superblock slots with deferred condition codes, pre-folded constant
-   operands and deferred dead register writes must leave every
-   simulated observable bit-identical to the unguided compiler.  The
-   differential suite runs every catalog workload, bare and under the
-   VMM, with facts installed and without — and again with dead-store
-   deferral on and off — and compares cycles (total and guest/monitor
-   split), instruction counts, registers, PSL, console output, run
-   outcome, TLB statistics and the full event trace.
+(* Static liveness pass tests.
 
    The solver unit tests pin down the backward analysis itself on
    directed programs: a full kill proves all four codes dead, a
@@ -16,218 +6,18 @@
    across a block boundary and around a loop back-edge — an unresolved
    computed jump forces all-live, constants fold only when vaxflow
    settles, and dead register writes are counted and (for R0..R13)
-   recorded for block-exit deferral.  The summary tests pin the
-   interprocedural pass: a callee's (gen, kill, clobber) summary lets a
-   caller-side write stay provably dead across a resolved JSB/BSBB
-   site, a computed call falls back to all-live, and a callee that
-   moves the stack pointer escapes to top.
-
-   The runtime tests cover the two ways a deferred or folded fact can
-   leak: a same-opcode byte patch (self-modifying code that rewrites an
-   operand specifier without changing the opcode) must reject the stale
-   fact through the page-generation stamp plus byte verification, and
-   an interrupt delivered mid-block must materialize deferred register
-   writes before the handler can observe them. *)
+   recorded in the fact.  The summary tests pin the interprocedural
+   pass: a callee's (gen, kill, clobber) summary lets a caller-side
+   write stay provably dead across a resolved JSB/BSBB site, a computed
+   call falls back to all-live, and a callee that moves the stack
+   pointer escapes to top. *)
 
 open Vax_arch
-open Vax_cpu
-open Vax_workloads
 open Vax_analysis
 module Asm = Vax_asm.Asm
 module Disasm = Vax_asm.Disasm
-module Trace = Vax_obs.Trace
 
 let check_int = Alcotest.(check int)
-
-(* ------------------------------------------------------------------ *)
-(* Differential suite: facts on vs. facts off, everything observable *)
-
-type summary = {
-  outcome : string;
-  total : int;
-  guest : int;
-  monitor : int;
-  instrs : int;
-  console : string;
-  regs : int list;
-  psl : int;
-  tlb : int * int * int;
-  trace_total : int;
-  trace_events : string list;
-}
-
-let enable_trace (m : Vax_dev.Machine.t) =
-  Trace.set_enabled m.Vax_dev.Machine.trace true
-
-let summarize (m : Runner.measurement) =
-  let mach = m.Runner.machine in
-  let st = mach.Vax_dev.Machine.cpu in
-  let tlb = Vax_mem.Mmu.tlb mach.Vax_dev.Machine.mmu in
-  let tr = mach.Vax_dev.Machine.trace in
-  let evs = ref [] in
-  Trace.iter_retained tr (fun ~seq k ~a ~b ~c ->
-      evs :=
-        Printf.sprintf "%d:%s:%d:%d:%d" seq (Trace.kind_name k) a b c :: !evs);
-  {
-    outcome = Format.asprintf "%a" Vax_dev.Machine.pp_outcome m.Runner.outcome;
-    total = m.Runner.total_cycles;
-    guest = m.Runner.guest_cycles;
-    monitor = m.Runner.monitor_cycles;
-    instrs = m.Runner.instructions;
-    console = m.Runner.console;
-    regs = List.init 16 (State.reg st);
-    psl = st.State.psl;
-    tlb = (Vax_mem.Tlb.hits tlb, Vax_mem.Tlb.misses tlb, Vax_mem.Tlb.evictions tlb);
-    trace_total = Trace.total tr;
-    trace_events = List.rev !evs;
-  }
-
-let check_summary name a b =
-  Alcotest.(check string) (name ^ ": outcome") a.outcome b.outcome;
-  check_int (name ^ ": total cycles") a.total b.total;
-  check_int (name ^ ": guest cycles") a.guest b.guest;
-  check_int (name ^ ": monitor cycles") a.monitor b.monitor;
-  check_int (name ^ ": instructions") a.instrs b.instrs;
-  Alcotest.(check string) (name ^ ": console") a.console b.console;
-  Alcotest.(check (list int)) (name ^ ": registers") a.regs b.regs;
-  check_int (name ^ ": psl") a.psl b.psl;
-  let ah, am, ae = a.tlb and bh, bm, be = b.tlb in
-  check_int (name ^ ": tlb hits") ah bh;
-  check_int (name ^ ": tlb misses") am bm;
-  check_int (name ^ ": tlb evictions") ae be;
-  check_int (name ^ ": trace total") a.trace_total b.trace_total;
-  Alcotest.(check (list string)) (name ^ ": trace events") a.trace_events
-    b.trace_events
-
-let test_bare_differential () =
-  List.iter
-    (fun w ->
-      let built = Catalog.build w in
-      let on =
-        summarize
-          (Runner.run_bare ~instrument:enable_trace ~liveness:true built)
-      in
-      let off =
-        summarize
-          (Runner.run_bare ~instrument:enable_trace ~liveness:false built)
-      in
-      check_summary ("bare " ^ w) off on)
-    Catalog.names
-
-let test_vm_differential () =
-  List.iter
-    (fun w ->
-      let built = Catalog.build w in
-      let on =
-        summarize (Runner.run_vm ~instrument:enable_trace ~liveness:true built)
-      in
-      let off =
-        summarize
-          (Runner.run_vm ~instrument:enable_trace ~liveness:false built)
-      in
-      check_summary ("vm " ^ w) off on)
-    Catalog.names
-
-let test_two_vm_differential () =
-  let b1 = Catalog.build "editing" and b2 = Catalog.build "transaction" in
-  let run liveness =
-    let m1, m2 =
-      Runner.run_two_vms ~instrument:enable_trace ~liveness b1 b2
-    in
-    (summarize m1, summarize m2)
-  in
-  let on1, on2 = run true and off1, off2 = run false in
-  check_summary "two-vms vm1" off1 on1;
-  check_summary "two-vms vm2" off2 on2
-
-(* Dead-store deferral on vs. off, liveness facts installed in both
-   runs: the elision itself must be architecturally invisible. *)
-let test_bare_dead_store_differential () =
-  List.iter
-    (fun w ->
-      let built = Catalog.build w in
-      let on =
-        summarize
-          (Runner.run_bare ~instrument:enable_trace ~liveness:true
-             ~dead_store:true built)
-      in
-      let off =
-        summarize
-          (Runner.run_bare ~instrument:enable_trace ~liveness:true
-             ~dead_store:false built)
-      in
-      check_summary ("bare dead-store " ^ w) off on)
-    Catalog.names
-
-let test_vm_dead_store_differential () =
-  List.iter
-    (fun w ->
-      let built = Catalog.build w in
-      let on =
-        summarize
-          (Runner.run_vm ~instrument:enable_trace ~liveness:true
-             ~dead_store:true built)
-      in
-      let off =
-        summarize
-          (Runner.run_vm ~instrument:enable_trace ~liveness:true
-             ~dead_store:false built)
-      in
-      check_summary ("vm dead-store " ^ w) off on)
-    Catalog.names
-
-let test_two_vm_dead_store_differential () =
-  let b1 = Catalog.build "editing" and b2 = Catalog.build "transaction" in
-  let run dead_store =
-    let m1, m2 =
-      Runner.run_two_vms ~instrument:enable_trace ~liveness:true ~dead_store b1
-        b2
-    in
-    (summarize m1, summarize m2)
-  in
-  let on1, on2 = run true and off1, off2 = run false in
-  check_summary "two-vms dead-store vm1" off1 on1;
-  check_summary "two-vms dead-store vm2" off2 on2
-
-(* The facts must actually engage on the workloads, otherwise the
-   differential above proves nothing. *)
-let test_facts_engage () =
-  let built = Catalog.build "mix" in
-  let m = Runner.run_bare ~liveness:true built in
-  let bc = m.Runner.machine.Vax_dev.Machine.bcache in
-  Alcotest.(check bool) "facts installed" true (bc.Block_cache.facts <> None);
-  Alcotest.(check bool) "fact slots" true (bc.Block_cache.fact_slots > 0);
-  Alcotest.(check bool) "cc elided" true (bc.Block_cache.cc_elided > 0);
-  let off = Runner.run_bare ~liveness:false built in
-  let bco = off.Runner.machine.Vax_dev.Machine.bcache in
-  Alcotest.(check bool) "no facts when off" true (bco.Block_cache.facts = None);
-  check_int "no fact slots when off" 0 bco.Block_cache.fact_slots
-
-(* The call-heavy workload is the stress case for the interprocedural
-   pass: its callee summaries must solve every resolved call site, its
-   caller-side dead writes must be detected across those sites, and the
-   compiled blocks must actually defer them. *)
-let test_dead_store_engages () =
-  let built = Catalog.build "calls" in
-  let m = Runner.run_bare ~liveness:true ~dead_store:true built in
-  let bc = m.Runner.machine.Vax_dev.Machine.bcache in
-  let facts =
-    match bc.Block_cache.facts with
-    | Some f -> f
-    | None -> Alcotest.fail "facts not installed"
-  in
-  Alcotest.(check bool) "summary calls solved" true
-    (facts.Block_facts.summary_calls > 0);
-  check_int "no summary fallbacks on calls" 0
-    facts.Block_facts.summary_fallbacks;
-  Alcotest.(check bool) "dead write sites found" true
-    (Block_facts.dead_write_sites facts >= 2);
-  Alcotest.(check bool) "dead writes deferred at runtime" true
-    (bc.Block_cache.dead_writes_elided > 0);
-  let off = Runner.run_bare ~liveness:true ~dead_store:false built in
-  let bco = off.Runner.machine.Vax_dev.Machine.bcache in
-  check_int "nothing deferred when dead-store is off" 0
-    bco.Block_cache.dead_writes_elided
 
 (* ------------------------------------------------------------------ *)
 (* Solver unit tests on directed programs *)
@@ -375,7 +165,7 @@ let test_const_fact () =
         f.Block_facts.f_consts
 
 (* Dead register writes are counted, and — for R0..R13 — recorded in
-   the per-fact deferral mask the slot compiler consumes. *)
+   the fact's dead-register mask. *)
 let test_dead_reg_write_counted () =
   let image =
     image_of ~origin:0x1000 (fun a ->
@@ -390,7 +180,7 @@ let test_dead_reg_write_counted () =
   match fact_at facts image Opcode.Movl with
   | None -> Alcotest.fail "no fact at the dead MOVL"
   | Some f ->
-      check_int "R5 recorded in the deferral mask" (1 lsl 5)
+      check_int "R5 recorded in the dead-register mask" (1 lsl 5)
         (f.Block_facts.f_dead_regs land (1 lsl 5))
 
 (* ------------------------------------------------------------------ *)
@@ -486,169 +276,9 @@ let test_sp_write_escapes () =
       Alcotest.(check bool) "never usable at a call site" false
         (Summaries.usable s)
 
-(* ------------------------------------------------------------------ *)
-(* Runtime: stale facts and deferred writes under fire *)
-
-let boot ~engine ?facts ?(origin = 0x1000) f =
-  let cpu = Cpu.create ~engine () in
-  let a = Asm.create ~origin in
-  f a;
-  let img = Asm.assemble a in
-  Cpu.load cpu img.Vax_asm.Asm.image_origin img.Vax_asm.Asm.code;
-  (match facts with
-  | Some fc -> cpu.Cpu.bcache.Block_cache.facts <- Some fc
-  | None -> ());
-  State.set_pc cpu.Cpu.state origin;
-  State.set_sp cpu.Cpu.state 0x2000;
-  (cpu, img)
-
-let cpu_summary (cpu : Cpu.t) =
-  ( List.init 16 (State.reg cpu.Cpu.state),
-    cpu.Cpu.state.State.psl,
-    Cycles.now cpu.Cpu.clock,
-    cpu.Cpu.state.State.instructions )
-
-(* Self-modifying code that rewrites an operand specifier of an
-   already-analyzed instruction without changing its opcode or length:
-   the ADDL2's first operand was proven constant 5 (vaxflow folds R0),
-   and the patch retargets it to R3 = 9.  The op/len guard alone
-   cannot catch this — only the page-generation stamp plus byte
-   verification can.  A stale fold would add 5 instead of 9 on the
-   second iteration. *)
-let smc_program addl2_addr a =
-  Asm.ins a Opcode.Movl [ Asm.Imm 2; Asm.R 2 ];
-  Asm.ins a Opcode.Movl [ Asm.Imm 5; Asm.R 0 ];
-  Asm.ins a Opcode.Movl [ Asm.Imm 9; Asm.R 3 ];
-  Asm.label a "loop";
-  Asm.ins a Opcode.Clrl [ Asm.R 1 ];
-  addl2_addr := Asm.here a;
-  Asm.ins a Opcode.Addl2 [ Asm.R 0; Asm.R 1 ];
-  (* 0x53 is the register-mode specifier for R3: same opcode, same
-     length, different operand *)
-  Asm.ins a Opcode.Movb [ Asm.Imm 0x53; Asm.Abs (!addl2_addr + 1) ];
-  Asm.ins a Opcode.Sobgtr [ Asm.R 2; Asm.Branch "loop" ];
-  Asm.ins a Opcode.Halt []
-
-let test_smc_same_opcode_patch () =
-  let addl2_addr = ref 0 in
-  let prog = smc_program addl2_addr in
-  let image = image_of ~origin:0x1000 prog in
-  let facts, _ = Liveness.facts_of_images [ image ] in
-  (* the stale fact really is dangerous: it folds the patched operand *)
-  (match fact_at facts image Opcode.Addl2 with
-  | None -> Alcotest.fail "no fact at the ADDL2"
-  | Some f ->
-      Alcotest.(check (list (pair int int)))
-        "operand 0 folded to 5 pre-patch"
-        [ (0, 5) ]
-        f.Block_facts.f_consts);
-  let run engine facts' =
-    let cpu, _ = boot ~engine ?facts:facts' prog in
-    (match Cpu.run cpu ~max_instructions:1000 () with
-    | Exec.Machine_halted -> ()
-    | _ -> Alcotest.fail "no halt");
-    cpu_summary cpu
-  in
-  let rs, ps, cs, is = run Exec.Stepper None in
-  let rb, pb, cb, ib = run Exec.Blocks (Some facts) in
-  Alcotest.(check (list int)) "registers" rs rb;
-  check_int "psl" ps pb;
-  check_int "cycles" cs cb;
-  check_int "instructions" is ib;
-  (* iteration 1 adds the folded 5; iteration 2 must add R3 = 9 *)
-  check_int "patched operand re-read, stale fact rejected" 9 (List.nth rb 1)
-
-(* An interrupt delivered mid-block must observe deferred register
-   writes: the MNEGL's destination is dead on every synchronous path
-   (the MOVL below rewrites R0 before any read) so the compiled slot
-   defers it into the shadow — but the handler reads R0
-   asynchronously, and exception delivery must materialize the shadow
-   first.  Compared against the per-step interpreter for several
-   posting offsets inside the loop body. *)
-let deferred_interrupt_program a =
-  Asm.ins a Opcode.Mtpr [ Asm.Imm 0x8000; Asm.Imm (Ipr.to_int Ipr.SCBB) ];
-  Asm.ins a Opcode.Moval [ Asm.Abs_label "handler"; Asm.R 6 ];
-  Asm.ins a Opcode.Movl [ Asm.R 6; Asm.Abs (0x8000 + Scb.interval_timer) ];
-  Asm.ins a Opcode.Mtpr [ Asm.Imm 0; Asm.Imm (Ipr.to_int Ipr.IPL) ];
-  Asm.ins a Opcode.Movl [ Asm.Imm 40; Asm.R 2 ];
-  Asm.label a "loop";
-  Asm.ins a Opcode.Mnegl [ Asm.R 2; Asm.R 0 ];
-  for _ = 1 to 4 do
-    Asm.ins a Opcode.Incl [ Asm.R 1 ]
-  done;
-  Asm.ins a Opcode.Movl [ Asm.Imm 7; Asm.R 0 ];
-  Asm.ins a Opcode.Addl2 [ Asm.R 0; Asm.R 1 ];
-  Asm.ins a Opcode.Sobgtr [ Asm.R 2; Asm.Branch "loop" ];
-  Asm.ins a Opcode.Halt [];
-  Asm.align a 4;
-  Asm.label a "handler";
-  Asm.ins a Opcode.Addl2 [ Asm.R 0; Asm.R 10 ];
-  Asm.ins a Opcode.Rei []
-
-let run_with_interrupt engine facts k =
-  let cpu, _ = boot ~engine ?facts deferred_interrupt_program in
-  let st = cpu.Cpu.state in
-  for _ = 1 to k do
-    ignore (Cpu.step cpu)
-  done;
-  State.post_interrupt st ~ipl:22 ~vector:Scb.interval_timer;
-  let delivery = ref (-1, -1) in
-  let rec go n =
-    if n = 0 then Alcotest.fail "no halt";
-    if st.State.interrupts_taken > 0 && !delivery = (-1, -1) then
-      delivery := (Cycles.now cpu.Cpu.clock, st.State.instructions);
-    match Cpu.step cpu with Exec.Machine_halted -> () | _ -> go (n - 1)
-  in
-  go 5000;
-  check_int "interrupt delivered once" 1 st.State.interrupts_taken;
-  (cpu_summary cpu, !delivery, cpu.Cpu.bcache.Block_cache.dead_writes_elided)
-
-let test_interrupt_materializes_deferred () =
-  let image = image_of ~origin:0x1000 deferred_interrupt_program in
-  let facts, _ = Liveness.facts_of_images [ image ] in
-  (match fact_at facts image Opcode.Mnegl with
-  | None -> Alcotest.fail "no fact at the MNEGL"
-  | Some f ->
-      check_int "R0 write dead on every synchronous path" 1
-        (f.Block_facts.f_dead_regs land 1));
-  List.iter
-    (fun k ->
-      let ss, sd, _ = run_with_interrupt Exec.Stepper None k in
-      let bs, bd, elided = run_with_interrupt Exec.Blocks (Some facts) k in
-      let rs, ps, cs, is = ss and rb, pb, cb, ib = bs in
-      Alcotest.(check (list int)) (Printf.sprintf "k=%d registers" k) rs rb;
-      check_int (Printf.sprintf "k=%d psl" k) ps pb;
-      check_int (Printf.sprintf "k=%d final cycles" k) cs cb;
-      check_int (Printf.sprintf "k=%d instructions" k) is ib;
-      let dc_s, di_s = sd and dc_b, di_b = bd in
-      check_int (Printf.sprintf "k=%d delivery cycle" k) dc_s dc_b;
-      check_int (Printf.sprintf "k=%d delivery instruction" k) di_s di_b;
-      Alcotest.(check bool)
-        (Printf.sprintf "k=%d deferral engaged" k)
-        true (elided > 0))
-    [ 5; 6; 7; 8; 9; 11; 14; 17; 23; 42 ]
-
 let () =
   Alcotest.run "liveness"
     [
-      ( "differential",
-        [
-          Alcotest.test_case "bare workloads: facts = no facts" `Quick
-            test_bare_differential;
-          Alcotest.test_case "vm workloads: facts = no facts" `Quick
-            test_vm_differential;
-          Alcotest.test_case "two vms: facts = no facts" `Quick
-            test_two_vm_differential;
-          Alcotest.test_case "bare workloads: dead-store on = off" `Quick
-            test_bare_dead_store_differential;
-          Alcotest.test_case "vm workloads: dead-store on = off" `Quick
-            test_vm_dead_store_differential;
-          Alcotest.test_case "two vms: dead-store on = off" `Quick
-            test_two_vm_dead_store_differential;
-          Alcotest.test_case "facts engage" `Quick test_facts_engage;
-          Alcotest.test_case "dead-store deferral engages" `Quick
-            test_dead_store_engages;
-        ] );
       ( "solver",
         [
           Alcotest.test_case "full kill: all codes dead" `Quick test_full_kill;
@@ -672,12 +302,5 @@ let () =
           Alcotest.test_case "leaf summary lattice" `Quick test_leaf_summary;
           Alcotest.test_case "SP write escapes to top" `Quick
             test_sp_write_escapes;
-        ] );
-      ( "runtime",
-        [
-          Alcotest.test_case "same-opcode byte patch rejects stale fact"
-            `Quick test_smc_same_opcode_patch;
-          Alcotest.test_case "interrupt materializes deferred writes" `Quick
-            test_interrupt_materializes_deferred;
         ] );
     ]
