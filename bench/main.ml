@@ -236,7 +236,10 @@ let run_microbench ~quota_s ~limit () =
    wall-clock, so these gauges are host-dependent by design; parallel
    efficiency at J is jobs_per_sec(J) / (J * jobs_per_sec(1)).  On a
    host with fewer cores than J the run still completes (domains
-   timeshare) and the recorded efficiency simply reflects that. *)
+   timeshare) and the recorded efficiency simply reflects that.  One
+   untimed warm-up batch runs first, so the Runner's analysis cache is
+   warm for all three J rather than paid by J=1 alone (which would
+   inflate the efficiencies). *)
 let fleet_stats () =
   let batch =
     Vax_fleet.Fleet.catalog_jobs ~n:8 ~mode:Vax_fleet.Fleet.Vm ~mmio:false
@@ -251,6 +254,7 @@ let fleet_stats () =
              job.Vax_fleet.Fleet.job_name e.Vax_fleet.Fleet.error));
     r.Vax_fleet.Fleet.jobs_per_sec
   in
+  ignore (jps 1);
   let j1 = jps 1 and j2 = jps 2 and j4 = jps 4 in
   let eff j jn = if j1 > 0.0 then jn /. (float_of_int j *. j1) else 0.0 in
   [

@@ -18,7 +18,7 @@ module Fault_engine = Vax_fault.Engine
 
 (* --fleet N: run N independent jobs drawn round-robin from the workload
    catalog across --jobs worker domains, print the per-job table, and
-   optionally write the vax-fleet/1 report.  Exits nonzero if any job
+   optionally write the vax-fleet/2 report.  Exits nonzero if any job
    crashed. *)
 let run_fleet_mode ~fleet ~jobs ~vm ~mmio ~quiet ~fleet_json =
   let mode = if vm then Fleet.Vm else Fleet.Bare in

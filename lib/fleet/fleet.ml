@@ -59,14 +59,16 @@ type report = {
   jobs_per_sec : float;
 }
 
-(* One job, entirely on the calling (worker) domain: workload images,
-   machine, trace and metrics are all built here, shared with no one.
-   Only deterministic data survives into the stats — the machine itself
-   is dropped so a large fleet does not retain every machine's memory. *)
-(* One attempt of one job.  A fresh injection engine is armed from the
-   job's plan every attempt, so a retried job replays exactly the same
-   injections — retry is deterministic redo with a larger budget, not a
-   different experiment. *)
+(* One attempt of one job, entirely on the calling (worker) domain:
+   workload images, machine, trace and metrics are all built here and
+   are private to the job.  The only thing shared is the Runner's
+   read-only static analysis, memoized by code-image content.  Only
+   deterministic data survives into the stats — the machine itself is
+   dropped so a large fleet does not retain every machine's memory.  A
+   fresh injection engine is armed from the job's plan every attempt,
+   so a retried job replays exactly the same injections — retry is
+   deterministic redo with a larger budget, not a different
+   experiment. *)
 let execute job ~attempt =
   let max_cycles =
     (* bounded backoff: attempt k gets the budget doubled k times *)

@@ -12,9 +12,9 @@
     jobs: every job builds its own workload images, machine, trace and
     metrics registry inside its worker domain; the only cross-domain
     state is the work-queue index (an [Atomic]) and the memoized vaxlint
-    static pass (a mutex-guarded cache whose entries are immutable once
-    published).  Per-job metrics are merged after join with
-    {!Vax_obs.Metrics.merge}.  Only the report-level wall-clock figures
+    static pass (a mutex-guarded cache keyed on code-image content,
+    whose entries are immutable once published).  Per-job metrics are
+    merged after join with {!Vax_obs.Metrics.merge}.  Only the report-level wall-clock figures
     ([wall_seconds], [jobs_per_sec]) depend on the host.
 
     Crash isolation: an exception escaping one job (machine-check storm,

@@ -21,7 +21,12 @@ type measurement = {
   oracle : Oracle.t;
       (** the differential trap-prediction oracle that watched the run;
           every observed trap was checked eagerly ({!Oracle.Unpredicted}
-          would have propagated), so this carries coverage only *)
+          would have propagated), so this carries coverage only.  The
+          static pass is memoized by a digest of its inputs (mode
+          assumption, [flow], and the code images' names, bases, entry
+          modes, entry points and bytes), so runs over equal images
+          share one read-only predicted table whatever built them; hit
+          tracking is per run. *)
 }
 
 val images_of_built : Minivms.built -> Vax_analysis.Cfg.image list

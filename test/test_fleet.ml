@@ -1,8 +1,10 @@
 (* Fleet engine tests: parallel-vs-serial bit-identity, input-order
-   stability, crash isolation, Metrics.merge, and the two-domain
-   regression for the Runner's memoized oracle static pass. *)
+   stability, crash isolation, Metrics.merge, the two-domain regression
+   for the Runner's memoized oracle static pass, and the content key of
+   that memo. *)
 
 open Vax_workloads
+open Vax_vmos
 module Fleet = Vax_fleet.Fleet
 module Metrics = Vax_obs.Metrics
 module Oracle = Vax_analysis.Oracle
@@ -147,15 +149,16 @@ let test_metrics_merge () =
     (Metrics.merge [ [ ("x", 1) ]; [ ("x", 2) ]; [ ("x", 3) ] ])
 
 (* Regression for the mutex around Runner's memoized vaxlint static
-   pass: two domains running the *same* built images concurrently hit
-   the oracle cache (same physical identity) from both sides.  Unsynch-
-   ronized, this races on the cache list and on the predicted table
-   under construction; with the lock, every run completes with
-   identical cycles. *)
-let test_oracle_cache_two_domains () =
-  let built = Catalog.build "hello" in
+   pass: two domains running the same workload concurrently hit the
+   oracle cache (same content key) from both sides.  Unsynchronized,
+   this races on the cache table; with the lock, every run completes
+   with identical cycles.  [build] is called once per domain, so the
+   variant passing a fresh [Catalog.build] gives each domain its own
+   built system — different physical identity, same content. *)
+let two_domains ~build =
   let runs = 8 in
   let work () =
+    let built = build () in
     Array.init runs (fun _ ->
         let m = Runner.run_bare built in
         (m.Runner.total_cycles, m.Runner.instructions))
@@ -170,6 +173,102 @@ let test_oracle_cache_two_domains () =
       check_int "instructions stable across domains" i0 i)
     (Array.append here there)
 
+let test_oracle_cache_two_domains () =
+  let built = Catalog.build "hello" in
+  two_domains ~build:(fun () -> built)
+
+let test_oracle_cache_two_domains_own_builds () =
+  two_domains ~build:(fun () -> Catalog.build "hello")
+
+(* The oracle cache is keyed on code-image content, so the static pass
+   is shared by every run over equal images, however they were built.
+   A short cycle budget suffices: the oracle is made before the run. *)
+let short = 10_000
+
+let run_mode ?flow mode built =
+  match mode with
+  | Fleet.Bare -> Runner.run_bare ?flow ~max_cycles:short built
+  | Fleet.Vm -> Runner.run_vm ?flow ~max_cycles:short built
+
+let predicted (m : Runner.measurement) = m.Runner.oracle.Oracle.predicted
+
+let catalog_pairs =
+  List.concat_map (fun w -> [ (w, Fleet.Bare); (w, Fleet.Vm) ]) Catalog.names
+
+(* Two independent builds of each catalog workload, in each mode, share
+   one predicted table.  Every first run goes in before any second run
+   is checked, so the cache must hold all 18 pairs at once. *)
+let test_cache_shares_equal_content () =
+  let firsts =
+    List.map
+      (fun (w, mode) -> predicted (run_mode mode (Catalog.build w)))
+      catalog_pairs
+  in
+  List.iter2
+    (fun (w, mode) p1 ->
+      let p2 = predicted (run_mode mode (Catalog.build w)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s/%s shares one table" w
+           (match mode with Fleet.Bare -> "bare" | Fleet.Vm -> "vm"))
+        true (p1 == p2))
+    catalog_pairs firsts
+
+let compute_built iterations =
+  Minivms.build ~programs:[ Programs.compute ~ident:1 ~iterations ] ()
+
+(* Every input of the static pass is part of the key: the mode
+   assumption, [flow], and the code bytes each select their own table. *)
+let test_cache_no_false_sharing () =
+  let distinct what a b =
+    Alcotest.(check bool) (what ^ ": distinct tables") true (a != b)
+  in
+  let built = Catalog.build "hello" in
+  distinct "bare vs vm"
+    (predicted (run_mode Fleet.Bare built))
+    (predicted (run_mode Fleet.Vm built));
+  distinct "flow vs flowless"
+    (predicted (run_mode ~flow:true Fleet.Vm built))
+    (predicted (run_mode ~flow:false Fleet.Vm built));
+  distinct "different code"
+    (predicted (run_mode Fleet.Vm (compute_built 8000)))
+    (predicted (run_mode Fleet.Vm (compute_built 4000)))
+
+(* A program with one more system call than the cached one: the extra
+   CHMK is a new VM-emulation site and shifts every site after it, so a
+   table cached for the original would miss them and the strict oracle
+   would raise [Oracle.Unpredicted]. *)
+let test_cache_new_site_predicted () =
+  let hello extra =
+    Minivms.build
+      ~programs:
+        [
+          (let a = Vax_asm.Asm.create ~origin:0 in
+           if extra then Userland.sys_putc_imm a '!';
+           Userland.sys_putc_imm a 'h';
+           Userland.sys_exit a;
+           {
+             Minivms.prog_name = "hello";
+             prog_image = Vax_asm.Asm.assemble a;
+             prog_data_pages = 1;
+           });
+        ]
+      ()
+  in
+  List.iter
+    (fun extra ->
+      let console = if extra then "!h" else "h" in
+      let bare = Runner.run_bare (hello extra) in
+      check_string "bare console" console bare.Runner.console;
+      Alcotest.(check bool)
+        "bare halted" true
+        (bare.Runner.outcome = Vax_dev.Machine.Halted);
+      let vm = Runner.run_vm (hello extra) in
+      check_string "vm console" console vm.Runner.console;
+      Alcotest.(check bool)
+        "vm stopped" true
+        (vm.Runner.outcome = Vax_dev.Machine.Stopped))
+    [ false; true ]
+
 let () =
   Alcotest.run "vax_fleet"
     [
@@ -183,5 +282,16 @@ let () =
           Alcotest.test_case "Metrics.merge" `Quick test_metrics_merge;
           Alcotest.test_case "oracle cache from two domains" `Quick
             test_oracle_cache_two_domains;
+          Alcotest.test_case "oracle cache from two domains, own builds"
+            `Quick test_oracle_cache_two_domains_own_builds;
+        ] );
+      ( "analysis cache",
+        [
+          Alcotest.test_case "equal content shares one table" `Quick
+            test_cache_shares_equal_content;
+          Alcotest.test_case "no false sharing" `Quick
+            test_cache_no_false_sharing;
+          Alcotest.test_case "new sensitive site is predicted" `Quick
+            test_cache_new_site_predicted;
         ] );
     ]
