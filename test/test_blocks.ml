@@ -34,10 +34,34 @@ type summary = {
   console : string;
   regs : int list;
   psl : int;
+  tlb : int * int;  (* misses, evictions *)
+  trace : int * int;  (* events, digest *)
 }
 
-let summarize (m : Runner.measurement) =
-  let st = m.Runner.machine.Vax_dev.Machine.cpu in
+(* Digest the vax-trace/1 stream minus [block-build] events, which only
+   the block engine emits.  Sequence numbers are left out for the same
+   reason: a block build consumes one. *)
+let trace_digest () =
+  let events = ref 0 and h = ref 0 in
+  let instrument (mach : Vax_dev.Machine.t) =
+    let tr = mach.Vax_dev.Machine.trace in
+    Vax_obs.Trace.set_sink tr
+      (Some
+         (fun ~seq:_ kind ~a ~b ~c ->
+           if kind <> Vax_obs.Trace.Block_build then begin
+             incr events;
+             List.iter
+               (fun x -> h := (!h * 1_000_003) lxor x)
+               [ Vax_obs.Trace.kind_code kind; a; b; c ]
+           end));
+    Vax_obs.Trace.set_enabled tr true
+  in
+  (instrument, fun () -> (!events, !h))
+
+let summarize (m : Runner.measurement) trace =
+  let mach = m.Runner.machine in
+  let st = mach.Vax_dev.Machine.cpu in
+  let tlb = Vax_mem.Mmu.tlb mach.Vax_dev.Machine.mmu in
   {
     outcome = Format.asprintf "%a" Vax_dev.Machine.pp_outcome m.Runner.outcome;
     total = m.Runner.total_cycles;
@@ -47,7 +71,18 @@ let summarize (m : Runner.measurement) =
     console = m.Runner.console;
     regs = List.init 16 (State.reg st);
     psl = st.State.psl;
+    (* TLB hits are left out: the decode cache's entries die on every TB
+       change, and each re-decode fetches the instruction bytes through
+       the TB again, counting hits.  Blocks survive TB changes, so the
+       block engine re-decodes less and counts fewer hits. *)
+    tlb = Vax_mem.Tlb.(misses tlb, evictions tlb);
+    trace;
   }
+
+let run_summary run engine built =
+  let instrument, digest = trace_digest () in
+  let m = run ~engine ~instrument built in
+  summarize m (digest ())
 
 let check_summary name a b =
   Alcotest.(check string) (name ^ ": outcome") a.outcome b.outcome;
@@ -57,31 +92,36 @@ let check_summary name a b =
   check_int (name ^ ": instructions") a.instrs b.instrs;
   Alcotest.(check string) (name ^ ": console") a.console b.console;
   Alcotest.(check (list int)) (name ^ ": registers") a.regs b.regs;
-  check_int (name ^ ": psl") a.psl b.psl
+  check_int (name ^ ": psl") a.psl b.psl;
+  Alcotest.(check (pair int int)) (name ^ ": tlb misses/evictions") a.tlb b.tlb;
+  Alcotest.(check bool) (name ^ ": trace recorded") true (fst a.trace > 0);
+  Alcotest.(check (pair int int)) (name ^ ": trace events/digest") a.trace b.trace
 
 let test_bare_workloads () =
+  let run ~engine ~instrument b = Runner.run_bare ~engine ~instrument b in
   List.iter
     (fun w ->
       let built = Catalog.build w in
-      let s = summarize (Runner.run_bare ~engine:Exec.Stepper built) in
-      let b = summarize (Runner.run_bare ~engine:Exec.Blocks built) in
+      let s = run_summary run Exec.Stepper built in
+      let b = run_summary run Exec.Blocks built in
       check_summary ("bare " ^ w) s b)
     Catalog.names
 
 let test_vm_workloads () =
+  let run ~engine ~instrument b = Runner.run_vm ~engine ~instrument b in
   List.iter
     (fun w ->
       let built = Catalog.build w in
-      let s = summarize (Runner.run_vm ~engine:Exec.Stepper built) in
-      let b = summarize (Runner.run_vm ~engine:Exec.Blocks built) in
+      let s = run_summary run Exec.Stepper built in
+      let b = run_summary run Exec.Blocks built in
       check_summary ("vm " ^ w) s b)
     Catalog.names
 
 (* ------------------------------------------------------------------ *)
 (* Directed programs on the bare CPU facade *)
 
-let boot ~engine ?(origin = 0x1000) f =
-  let cpu = Cpu.create ~engine () in
+let boot ~engine ?(origin = 0x1000) ?memory_pages f =
+  let cpu = Cpu.create ~engine ?memory_pages () in
   let a = Asm.create ~origin in
   f a;
   let img = Asm.assemble a in
@@ -303,6 +343,279 @@ let test_block_cache_engages () =
     "hits dominate misses" true
     (Block_cache.hits bc > Block_cache.misses bc)
 
+(* ------------------------------------------------------------------ *)
+(* Operand-shape sweep: every opcode the fast slot compiler accepts,
+   crossed with every operand kind the assembler can encode for each
+   specifier's access, under values that reach the overflow, divide and
+   byte-sign paths with integer-overflow traps enabled and disabled.
+   Each case runs its instruction three times in a loop, so the first
+   pass builds the block and the later passes execute compiled slots.
+   Faults go to a handler that logs the saved PC and PSL and resumes
+   after the instruction.  Both engines must agree on the outcome,
+   registers, PSL, cycles, instruction count, the data page (operand
+   cells and the fault log) and the stack page (exception frames). *)
+
+type kind =
+  | K_lit
+  | K_imm
+  | K_reg
+  | K_deref
+  | K_disp
+  | K_pcrel
+  | K_abs
+  | K_nx
+  | K_branch
+
+let kind_name = function
+  | K_lit -> "lit"
+  | K_imm -> "imm"
+  | K_reg -> "reg"
+  | K_deref -> "deref"
+  | K_disp -> "disp"
+  | K_pcrel -> "pcrel"
+  | K_abs -> "abs"
+  | K_nx -> "nx"
+  | K_branch -> "branch"
+
+(* [K_nx] is an absolute address past the end of RAM: a machine check *)
+let kinds_of_access = function
+  | Opcode.Read -> [ K_lit; K_imm; K_reg; K_deref; K_disp; K_pcrel; K_abs; K_nx ]
+  | Opcode.Write | Opcode.Modify -> [ K_reg; K_deref; K_disp; K_abs; K_nx ]
+  | Opcode.Address -> [ K_deref; K_disp; K_pcrel; K_abs; K_nx ]
+  | Opcode.Branch_byte | Opcode.Branch_word -> [ K_branch ]
+
+let sweep_opcodes =
+  Opcode.
+    [
+      Nop; Movl; Movb; Movzbl; Clrl; Clrb; Tstl; Tstb; Cmpl; Cmpb; Pushl;
+      Moval; Incl; Decl; Mnegl; Addl2; Subl2; Mull2; Divl2; Bisl2; Bicl2;
+      Xorl2; Addl3; Subl3; Mull3; Divl3; Bisl3; Bicl3; Xorl3; Brb; Brw;
+      Bneq; Beql; Bgtr; Bleq; Bgeq; Blss; Bgtru; Blequ; Bvc; Bvs; Bcc; Bcs;
+      Blbs; Blbc; Sobgtr; Aoblss; Bsbb; Jsb; Jmp; Rsb;
+    ]
+
+let sweep_pages = 64 (* 32 KB of RAM *)
+let sweep_origin = 0x1000
+let sweep_sp = 0x2000
+let sweep_data = 0x2400 (* operand cells, then the fault log *)
+let sweep_log = 0x2500
+let sweep_scb = 0x3000
+let sweep_nx = 0x10000
+let sweep_disp = 8
+let sweep_junk = 0xA5A5_A5A5 (* prior contents of a write-only operand *)
+let cell i = sweep_data + (16 * i)
+
+(* operand values: (first, second) read operands *)
+let sweep_rows =
+  [
+    (3, 5);
+    (0x7FFF_FFFF, 1) (* add overflow *);
+    (0, 7) (* divide by zero *);
+    (0xFFFF_FFFF, 0x8000_0000) (* mul/div overflow *);
+    (0x80, 0xFF) (* byte sign *);
+    (0x8000_0000, 3) (* sub/neg/dec overflow *);
+  ]
+
+let width_bytes = function Opcode.Byte -> 1 | Opcode.Word -> 2 | Opcode.Long -> 4
+
+let fits8 d = d >= -128 && d <= 127
+
+(* Emit one case: operand set-up, the PSW, the instruction, a
+   fall-through marker, and the loop.  [cont] is the address of the
+   label of the same name (jump targets need it before assembly). *)
+let sweep_program ~op ~kinds ~vals ~psw ~cont a =
+  let specs = Opcode.operands op in
+  let is_jump = op = Opcode.Jmp || op = Opcode.Jsb in
+  Asm.ins a Opcode.Movl [ Asm.Imm 3; Asm.R 11 ];
+  Asm.label a "loop";
+  Asm.ins a Opcode.Movl [ Asm.Imm sweep_sp; Asm.R Asm.sp ];
+  if op = Opcode.Rsb then Asm.ins a Opcode.Pushl [ Asm.Imm cont ];
+  let value i (access, _) =
+    if access = Opcode.Write then sweep_junk else vals.(i)
+  in
+  let target i = if is_jump then cont else cell i in
+  List.iteri
+    (fun i ((spec, kind) : (Opcode.access * Opcode.width) * kind) ->
+      let v = value i spec in
+      match kind with
+      | K_reg -> Asm.ins a Opcode.Movl [ Asm.Imm v; Asm.R i ]
+      | K_deref | K_disp ->
+          let disp = if kind = K_disp then sweep_disp else 0 in
+          Asm.ins a Opcode.Movl [ Asm.Imm (target i - disp); Asm.R i ];
+          Asm.ins a Opcode.Movl [ Asm.Imm v; Asm.Abs (cell i) ];
+          (* on the last pass the base register points past RAM.  An
+             operand that faults while being read never reaches the
+             decode cache, so this is how a read fault happens inside
+             a compiled slot ([K_nx] covers the decoder's) *)
+          let skip = Asm.fresh_label a in
+          Asm.ins a Opcode.Cmpl [ Asm.R 11; Asm.Lit 1 ];
+          Asm.ins a Opcode.Bneq [ Asm.Branch skip ];
+          Asm.ins a Opcode.Movl [ Asm.Imm (sweep_nx + (16 * i) - disp); Asm.R i ];
+          Asm.label a skip
+      | K_pcrel | K_abs -> Asm.ins a Opcode.Movl [ Asm.Imm v; Asm.Abs (cell i) ]
+      | K_lit | K_imm | K_nx | K_branch -> ())
+    (List.combine specs kinds);
+  (* the set-up moves wrote the condition codes: set the PSW last *)
+  Asm.ins a Opcode.Bicpsw [ Asm.Imm 0x2F ];
+  Asm.ins a Opcode.Bispsw [ Asm.Imm psw ];
+  (* PC-relative displacements are measured from the end of their own
+     specifier *)
+  let pos = ref (Asm.here a + 1) in
+  let operands =
+    List.mapi
+      (fun i (((_, width) as spec), kind) ->
+        let v = value i spec in
+        let len n = pos := !pos + n in
+        match kind with
+        | K_branch -> Asm.Branch "cont"
+        | K_lit -> len 1; Asm.Lit (v land 63)
+        | K_imm ->
+            len (1 + width_bytes width);
+            Asm.Imm (if width = Opcode.Byte then v land 0xFF else v)
+        | K_reg -> len 1; Asm.R i
+        | K_deref -> len 1; Asm.Deref i
+        | K_disp -> len 2; Asm.Disp (sweep_disp, i)
+        | K_pcrel ->
+            let d1 = target i - (!pos + 2) in
+            if fits8 d1 then (len 2; Asm.Disp (d1, Asm.pc))
+            else begin
+              len 3;
+              Asm.Disp (target i - !pos, Asm.pc)
+            end
+        | K_abs -> len 5; Asm.Abs (target i)
+        | K_nx -> len 5; Asm.Abs (sweep_nx + (16 * i)))
+      (List.combine specs kinds)
+  in
+  Asm.ins a op operands;
+  Asm.ins a Opcode.Incl [ Asm.R 7 ];
+  Asm.label a "cont";
+  Asm.ins a Opcode.Sobgtr [ Asm.R 11; Asm.Branch "loop" ];
+  Asm.ins a Opcode.Halt [];
+  (* fault handlers by parameter count: drop the parameters, log the
+     saved PC and PSL, resume at [cont] *)
+  let handler name nparams =
+    Asm.align a 4;
+    Asm.label a name;
+    if nparams > 0 then Asm.ins a Opcode.Addl2 [ Asm.Lit (4 * nparams); Asm.R Asm.sp ];
+    Asm.ins a Opcode.Brw [ Asm.Branch "log" ]
+  in
+  handler "h0" 0;
+  handler "h1" 1;
+  handler "h2" 2;
+  Asm.label a "log";
+  Asm.ins a Opcode.Movl [ Asm.Deref Asm.sp; Asm.Disp (sweep_log, 10) ];
+  Asm.ins a Opcode.Movl [ Asm.Disp (4, Asm.sp); Asm.Disp (sweep_log + 4, 10) ];
+  Asm.ins a Opcode.Addl2 [ Asm.Lit 8; Asm.R 10 ];
+  Asm.ins a Opcode.Moval [ Asm.Abs_label "cont"; Asm.Deref Asm.sp ];
+  Asm.ins a Opcode.Rei []
+
+(* The address of [cont], which jump targets need before assembly:
+   assemble until it stops moving (PC-relative displacements change
+   size with it). *)
+let case_cont ~op ~kinds ~vals ~psw =
+  let rec fix cont n =
+    let a = Asm.create ~origin:sweep_origin in
+    sweep_program ~op ~kinds ~vals ~psw ~cont a;
+    let c = Asm.lookup (Asm.assemble a) "cont" in
+    if c = cont || n = 0 then c else fix c (n - 1)
+  in
+  fix 0 4
+
+let run_case engine program =
+  let cpu, img =
+    boot ~engine ~origin:sweep_origin ~memory_pages:sweep_pages program
+  in
+  let entry name = Asm.lookup img name lor 1 (* service on the IS *) in
+  for v = 0 to 127 do
+    Vax_mem.Phys_mem.write_long cpu.Cpu.phys (sweep_scb + (4 * v)) (entry "h0")
+  done;
+  List.iter
+    (fun (vector, h) ->
+      Vax_mem.Phys_mem.write_long cpu.Cpu.phys (sweep_scb + vector) (entry h))
+    [
+      (Scb.arithmetic, "h1");
+      (Scb.machine_check, "h2");
+      (Scb.access_violation, "h2");
+      (Scb.translation_not_valid, "h2");
+    ];
+  cpu.Cpu.state.State.scbb <- sweep_scb;
+  let status = Cpu.run cpu ~max_instructions:2000 () in
+  let page base = Bytes.to_string (Vax_mem.Phys_mem.blit_out cpu.Cpu.phys base 512) in
+  (status, cpu_summary cpu, page sweep_data, page (sweep_sp - 512))
+
+let sweep_cases () =
+  let cases = ref [] in
+  List.iter
+    (fun op ->
+      let specs = Opcode.operands op in
+      let is_branch = function
+        | Opcode.Branch_byte | Opcode.Branch_word -> true
+        | _ -> false
+      in
+      let rec cross = function
+        | [] -> [ [] ]
+        | (access, _) :: rest ->
+            let tails = cross rest in
+            List.concat_map
+              (fun k -> List.map (fun t -> k :: t) tails)
+              (kinds_of_access access)
+      in
+      let reads = List.exists (fun (acc, _) -> not (is_branch acc)) specs in
+      (* branches on the condition codes alone see every CC pattern;
+         everything else sees IV (and C, which moves keep) on and off *)
+      let psws, rows =
+        if reads then ([ 0x00; 0x21 ], sweep_rows)
+        else (List.init 16 Fun.id, [ List.hd sweep_rows ])
+      in
+      let values =
+        List.concat_map (fun row -> List.map (fun psw -> (row, psw)) psws) rows
+      in
+      (* three-operand opcodes have 320 kind combinations: each takes
+         every fourth value case, in rotation, so every kind at every
+         position still meets every value *)
+      let combos = cross specs in
+      let stride = if List.length combos > 64 then 4 else 1 in
+      List.iteri
+        (fun j kinds ->
+          List.iteri
+            (fun k ((x, y), psw) ->
+              if k mod stride = j mod stride then
+                cases := (op, kinds, [| x; y; sweep_junk |], psw) :: !cases)
+            values)
+        combos)
+    sweep_opcodes;
+  List.rev !cases
+
+let test_operand_shape_sweep () =
+  let cases = sweep_cases () in
+  let diverged = ref [] and faulted = ref 0 and halted = ref 0 in
+  List.iter
+    (fun (op, kinds, vals, psw) ->
+      let cont = case_cont ~op ~kinds ~vals ~psw in
+      let program = sweep_program ~op ~kinds ~vals ~psw ~cont in
+      let s = run_case Exec.Stepper program
+      and b = run_case Exec.Blocks program in
+      let status, _, data, _ = s in
+      if status = Exec.Machine_halted then incr halted;
+      if String.sub data (sweep_log - sweep_data) 4 <> "\000\000\000\000" then
+        incr faulted;
+      if s <> b then
+        diverged :=
+          Printf.sprintf "%s %s vals=%x,%x psw=%x" (Opcode.name op)
+            (String.concat "," (List.map kind_name kinds))
+            vals.(0) vals.(1) psw
+          :: !diverged)
+    cases;
+  let n = List.length cases in
+  Printf.printf "operand-shape sweep: %d cases, %d halted, %d faulted, %d diverged\n"
+    n !halted !faulted (List.length !diverged);
+  List.iteri
+    (fun i d -> if i < 20 then Printf.printf "  diverged: %s\n" d)
+    (List.rev !diverged);
+  check_int "every case halts" n !halted;
+  Alcotest.(check bool) "some cases fault" true (!faulted > 0);
+  check_int "divergences" 0 (List.length !diverged)
+
 let () =
   Alcotest.run "blocks"
     [
@@ -314,6 +627,8 @@ let () =
             test_vm_workloads;
           Alcotest.test_case "interrupt mid-block: same boundary" `Quick
             test_interrupt_mid_block;
+          Alcotest.test_case "operand-shape sweep: blocks = stepper" `Quick
+            test_operand_shape_sweep;
         ] );
       ( "invalidation",
         [
