@@ -815,22 +815,31 @@ let enc_int op =
   | [ p; b ] -> (p lsl 8) lor b
   | _ -> 0
 
+(* Count an instruction that finished evaluating its operands; the
+   result says whether it runs in a VM. *)
+let[@inline] commit st =
+  st.State.instructions <- st.State.instructions + 1;
+  let was_vm = Psl.vm st.State.psl in
+  if was_vm then st.State.vm_instructions <- st.State.vm_instructions + 1;
+  was_vm
+
+(* The instruction completed without faulting. *)
+let[@inline] retire st enc start_pc was_vm =
+  let tr = st.State.trace in
+  if Vax_obs.Trace.enabled tr then
+    Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
+      ~c:(if was_vm then 1 else 0)
+      start_pc
+
 (* The post-decode half of a step, shared verbatim between the per-step
    loop and the block engine's cold path so the two engines agree on
    counter/charge/retire order by construction. *)
 let run_decoded st (d : Decode.decoded) ~start_pc =
-  st.State.instructions <- st.State.instructions + 1;
-  let was_vm = Psl.vm st.State.psl in
-  if was_vm then st.State.vm_instructions <- st.State.vm_instructions + 1;
+  let was_vm = commit st in
   Cycles.charge st.State.clock (Opcode.base_cycles d.Decode.opcode);
   let pc_set = execute st d ~start_pc in
   if not pc_set then State.set_pc st d.Decode.next_pc;
-  (* retire: the instruction completed without faulting *)
-  let tr = st.State.trace in
-  if Vax_obs.Trace.enabled tr then
-    Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:(enc_int d.Decode.opcode)
-      ~c:(if was_vm then 1 else 0)
-      start_pc
+  retire st (enc_int d.Decode.opcode) start_pc was_vm
 
 let fault_finish st decoded ~start_pc f =
   let next_pc =
@@ -904,1438 +913,473 @@ let run st ?(max_instructions = max_int) () =
 (* Superblock engine                                                   *)
 (*                                                                     *)
 (* A block slot's closure replays one instruction exactly as [step]     *)
-(* would after the decode-cache probe: same operand-specifier charges   *)
-(* in the same order, same eval-time memory reads, same counter bumps,  *)
-(* same base-cycle charge, same fault next-PC protocol.  The common     *)
-(* addressing shapes compile to a fused closure with no decoded-record  *)
-(* allocation at all; everything else gets a generic slot that calls    *)
-(* [Decode.operandize] with the handler pre-resolved.                   *)
+(* would after the decode-cache probe: the same operand-specifier       *)
+(* charges ahead of the same fault points, the same eval-time memory    *)
+(* reads, the same counter bumps and base-cycle charge, the same fault  *)
+(* next-PC protocol.  An instruction whose specifiers all have          *)
+(* side-effect-free shapes compiles to a fast slot: operands resolved   *)
+(* to readers and destinations, an arity emitter that owns the charge,  *)
+(* commit, fault and retire protocol, and a per-opcode kernel.          *)
+(* Everything else gets [generic_slot], the body of [step] with the     *)
+(* handler pre-resolved.                                                *)
 (* ================================================================== *)
 
-let reserved_addressing () = raise (State.Fault State.Reserved_addressing)
+(* Fast operands.  A side-effect-free specifier resolves once, at build
+   time, to a reader or a destination: plain data that the inlined
+   accessors below interpret with a tag test, no closure call.  Reads
+   mirror [Decode.mk] — immediates raw, registers masked to the operand
+   width, memory through the mode-checked accessors — and writes mirror
+   [Decode.write_value], except that a longword register store does not
+   re-mask: every value a reader or kernel produces is a word already.
+   Fast opcodes have byte and longword data operands only. *)
 
-(* Fast operand IR: the side-effect-free addressing shapes.  Evaluating
-   one never changes a register, so faults need no undo and addresses
-   can be recomputed at write time. *)
-type faddr =
-  | A_reg of int  (* (Rn) *)
-  | A_disp of int * Word.t  (* disp(Rn) *)
-  | A_pc of Word.t  (* start_pc + fixed offset (PC-relative forms) *)
-  | A_abs of Word.t
+(* effective address of a memory specifier *)
+type ea =
+  | At_reg of int  (* (Rn) *)
+  | At_disp of int * Word.t  (* disp(Rn) *)
+  | At_pc of Word.t  (* PC-relative: the start PC plus a fixed offset *)
+  | At of Word.t  (* absolute *)
 
-type fop = F_imm of Word.t | F_reg of int | F_mem of faddr
+type reader =
+  | Imm of Word.t
+  | Rd of int  (* a longword register *)
+  | Rd_b of int  (* a register's low byte *)
+  | Addr of ea  (* an address operand's effective address *)
+  | Ld of ea  (* a longword memory read: the one reader that can fault *)
+  | Ld_b of ea
 
-(* branch displacements get the fused target offset instead *)
-type farg = FA of fop | FB of Word.t | FX
+type dest =
+  | Nowhere
+  | Wr of int
+  | Wr_b of int
+  | St of ea  (* a memory store: can fault, as can [Push] *)
+  | St_b of ea
+  | Push
 
-let fop_of_shape (ts : Decode_cache.tspec) =
+let fast_shape (ts : Decode_cache.tspec) =
   match ts.Decode_cache.t_shape with
-  | Decode_cache.Sh_literal v -> Some (F_imm v)
-  | Decode_cache.Sh_register rn -> Some (F_reg rn)
-  | Decode_cache.Sh_reg_deferred rn ->
-      Some (F_mem (if rn = 15 then A_pc ts.Decode_cache.t_after else A_reg rn))
-  | Decode_cache.Sh_disp { rn; disp; deferred = false } ->
-      Some
-        (F_mem
-           (if rn = 15 then A_pc (Word.add disp ts.Decode_cache.t_after)
-            else A_disp (rn, disp)))
-  | Decode_cache.Sh_absolute va -> Some (F_mem (A_abs va))
+  | Decode_cache.Sh_literal _ | Decode_cache.Sh_register _
+  | Decode_cache.Sh_reg_deferred _ | Decode_cache.Sh_absolute _
+  | Decode_cache.Sh_disp { deferred = false; _ }
+  | Decode_cache.Sh_branch _ ->
+      true
   | Decode_cache.Sh_autodec _ | Decode_cache.Sh_autoinc _
   | Decode_cache.Sh_autoinc_deferred _
-  | Decode_cache.Sh_disp { deferred = true; _ }
-  | Decode_cache.Sh_branch _ ->
-      None
+  | Decode_cache.Sh_disp { deferred = true; _ } ->
+      false
 
-let farg_of_spec (ts : Decode_cache.tspec) =
+(* PC-relative forms see the PC just past their own specifier *)
+let ea_of (ts : Decode_cache.tspec) =
+  let after = ts.Decode_cache.t_after in
   match ts.Decode_cache.t_shape with
-  | Decode_cache.Sh_branch disp ->
-      FB (Word.add disp ts.Decode_cache.t_after)
-  | _ -> ( match fop_of_shape ts with Some f -> FA f | None -> FX)
+  | Decode_cache.Sh_reg_deferred 15 -> At_pc after
+  | Decode_cache.Sh_reg_deferred rn -> At_reg rn
+  | Decode_cache.Sh_disp { rn = 15; disp; _ } -> At_pc (Word.add disp after)
+  | Decode_cache.Sh_disp { rn; disp; _ } -> At_disp (rn, disp)
+  | Decode_cache.Sh_absolute va -> At va
+  | _ -> invalid_arg "Exec.ea_of: not a fast memory shape"
 
-let fargs_of_tmpl (tmpl : Decode_cache.template) =
-  List.map farg_of_spec tmpl.Decode_cache.t_specs
+let reader (ts : Decode_cache.tspec) =
+  let byte = ts.Decode_cache.t_width = Opcode.Byte in
+  match ts.Decode_cache.t_shape with
+  | Decode_cache.Sh_literal v -> Imm v
+  | Decode_cache.Sh_register rn -> if byte then Rd_b rn else Rd rn
+  | _ when ts.Decode_cache.t_access = Opcode.Address -> Addr (ea_of ts)
+  | _ -> if byte then Ld_b (ea_of ts) else Ld (ea_of ts)
 
-let charge_spec st = Cycles.charge st.State.clock Cost.operand_specifier
+let dest (ts : Decode_cache.tspec) =
+  let byte = ts.Decode_cache.t_width = Opcode.Byte in
+  match ts.Decode_cache.t_shape with
+  | Decode_cache.Sh_register rn -> if byte then Wr_b rn else Wr rn
+  | _ -> if byte then St_b (ea_of ts) else St (ea_of ts)
 
-let faddr_va st start_pc = function
-  | A_reg rn -> State.reg st rn
-  | A_disp (rn, disp) -> Word.add (State.reg st rn) disp
-  | A_pc ofs -> Word.add start_pc ofs
-  | A_abs va -> va
+let faults = function
+  | Ld _ | Ld_b _ -> true
+  | Imm _ | Rd _ | Rd_b _ | Addr _ -> false
 
-(* reads mirror [Decode.mk]: immediates raw, registers masked to the
-   operand width, memory through the mode-checked accessors *)
-let fread_long st start_pc = function
-  | F_imm v -> v
-  | F_reg rn -> State.reg st rn
-  | F_mem a -> State.read_long st (State.cur_mode st) (faddr_va st start_pc a)
+let[@inline] va_of st pc = function
+  | At_reg rn -> Array.unsafe_get st.State.regs rn
+  | At_disp (rn, disp) -> Word.add (Array.unsafe_get st.State.regs rn) disp
+  | At_pc ofs -> Word.add pc ofs
+  | At va -> va
 
-let fread_byte st start_pc = function
-  | F_imm v -> v
-  | F_reg rn -> State.reg st rn land 0xFF
-  | F_mem a -> State.read_byte st (State.cur_mode st) (faddr_va st start_pc a)
+let[@inline] read st pc = function
+  | Imm v -> v
+  | Rd rn -> Array.unsafe_get st.State.regs rn
+  | Rd_b rn -> Array.unsafe_get st.State.regs rn land 0xFF
+  | Addr a -> va_of st pc a
+  | Ld a -> State.read_long st (State.cur_mode st) (va_of st pc a)
+  | Ld_b a -> State.read_byte st (State.cur_mode st) (va_of st pc a)
 
-let fmodify_long = fread_long
+let[@inline] store st pc dst v =
+  match dst with
+  | Nowhere -> ()
+  | Wr rn -> Array.unsafe_set st.State.regs rn v
+  | Wr_b rn ->
+      let regs = st.State.regs in
+      Array.unsafe_set regs rn
+        (Array.unsafe_get regs rn land 0xFFFF_FF00 lor (v land 0xFF))
+  | St a -> State.write_long st (State.cur_mode st) (va_of st pc a) v
+  | St_b a -> State.write_byte st (State.cur_mode st) (va_of st pc a) (v land 0xFF)
+  | Push -> State.push_long st v
 
-(* writes mirror [Decode.write_value] *)
-let fwrite_long st start_pc f v =
-  match f with
-  | F_reg rn -> State.set_reg st rn v
-  | F_mem a -> State.write_long st (State.cur_mode st) (faddr_va st start_pc a) v
-  | F_imm _ -> reserved_addressing ()
+(* What an instruction does once its operands are read, as data: one
+   match arm per opcode in [compute] or [jump], dispatched on a constant
+   constructor rather than through a closure.
 
-let fwrite_byte st start_pc f v =
-  match f with
-  | F_reg rn ->
-      State.set_reg st rn
-        (Word.logor (Word.logand (State.reg st rn) 0xFFFF_FF00) (v land 0xFF))
-  | F_mem a ->
-      State.write_byte st (State.cur_mode st) (faddr_va st start_pc a)
-        (v land 0xFF)
-  | F_imm _ -> reserved_addressing ()
+   An [Op] computes a value from the (first, second) operand values and
+   sets the condition codes before the store, as the handlers do; the
+   xxxL2 forms read their destination as the second operand, so each
+   xxxL2/xxxL3 pair shares an op.  A [Mov] stores its first operand and
+   sets the condition codes after the store, as the move handlers do
+   (the order shows when the store faults).  A [Jump] returns the next
+   PC and does any store itself. *)
+type op =
+  | Add
+  | Sub
+  | Mul
+  | Inc
+  | Dec
+  | Neg
+  | Div
+  | Bis
+  | Bic
+  | Xor
+  | Cmp
+  | Cmp_b
+  | Tst
+  | Tst_b
 
-let wr = function F_imm _ -> false | F_reg _ | F_mem _ -> true
+type move = Mov_l | Mov_b | Mov_zx
+type jump = Fall | Blbs | Blbc | Sob | Aob | Bsb | Jsb | Jmp | Rsb
+type kernel = Op of op | Mov of move | Jump of jump
 
-(* ------------------------------------------------------------------ *)
-(* Hot-shape compiler.
+let compute st op a b =
+  match op with
+  | Add -> do_add st a b
+  | Sub -> do_sub st b a
+  | Mul -> do_mul st a b
+  | Inc -> do_add st a 1
+  | Dec -> do_sub st a 1
+  | Neg -> do_sub st 0 a
+  | Div -> do_div st b a
+  | Bis -> do_logic st Word.logor a b
+  | Bic -> do_logic st (fun a b -> Word.logand b (Word.lognot a)) a b
+  | Xor -> do_logic st Word.logxor a b
+  | Cmp ->
+      compare_long st a b;
+      0
+  | Cmp_b ->
+      compare_byte st a b;
+      0
+  | Tst ->
+      set_nzvc st ~n:(Word.to_signed a < 0) ~z:(a = 0) ~v:false ~c:false;
+      0
+  | Tst_b ->
+      let v = a land 0xFF in
+      set_nzvc st ~n:(v land 0x80 <> 0) ~z:(v = 0) ~v:false ~c:false;
+      0
 
-   The generic fast compiler below pays three per-execution overheads
-   that add up to more than the useful work of a register-to-register
-   instruction: a [ref] allocation plus a try frame for the fault
-   next-PC protocol, a two-level shape dispatch per operand access, and
-   one [Cycles.charge] call per specifier.  These arms re-express the
-   hottest opcode/operand combinations without them:
+(* the ops whose handlers end in [check_overflow_trap]; SOBGTR and
+   AOBLSS never take it *)
+let traps = function
+  | Add | Sub | Mul | Inc | Dec | Neg -> true
+  | Div | Bis | Bic | Xor | Cmp | Cmp_b | Tst | Tst_b -> false
 
-   - adjacent cycle charges with no possible fault point between them
-     are merged into a single [Cycles.charge].  Merging is
-     cycle-identical: faults are the only mid-instruction observers of
-     the clock (interrupts are sampled at instruction boundaries only),
-     and register/immediate operands cannot fault;
-   - instead of one ref-tracked handler around the whole body, each
-     faultable phase gets its own [match ... with exception] with the
-     next-PC of that phase baked in: operand evaluation reports
-     [next_pc = start_pc], everything after evaluation committed (the
-     destination write, a division trap, the overflow trap) reports the
-     instruction's end.  Bodies whose operands are all
-     register/immediate carry no handler at all;
-   - operand access is pre-resolved at compile time to a direct
-     register index or a single address closure.
+let move st m v =
+  match m with
+  | Mov_l -> set_nz_keep_c st v
+  | Mov_b -> set_nz_byte_keep_c st v
+  | Mov_zx -> set_nzvc st ~n:false ~z:(v = 0) ~v:false ~c:(Psl.c st.State.psl)
 
-   A fault raised by [dispatch_fault] itself propagates, as in
-   [step]. *)
+(* [dst] is the loop index of SOBGTR and AOBLSS; [tofs] is the branch
+   target's offset from the start PC *)
+let jump st pc ~len ~tofs dst j a b =
+  match j with
+  | Fall -> Word.add pc len
+  | Blbs -> Word.add pc (if a land 1 = 1 then tofs else len)
+  | Blbc -> Word.add pc (if a land 1 = 0 then tofs else len)
+  | Sob ->
+      let r = do_sub st a 1 in
+      store st pc dst r;
+      Word.add pc (if Word.to_signed r > 0 then tofs else len)
+  | Aob ->
+      let r = do_add st b 1 in
+      store st pc dst r;
+      Word.add pc (if Word.signed_lt r a then tofs else len)
+  | Bsb ->
+      State.push_long st (Word.add pc len);
+      Word.add pc tofs
+  | Jsb ->
+      State.push_long st (Word.add pc len);
+      a
+  | Jmp -> a
+  | Rsb -> State.pop_long st
 
-let compile_fast_hot (tmpl : Decode_cache.template) =
-  let op = tmpl.Decode_cache.t_opcode in
-  let len = tmpl.Decode_cache.t_len in
-  let base = Opcode.base_cycles op in
-  let enc = enc_int op in
-  let spec = Cost.operand_specifier in
-  let commit st =
-    st.State.instructions <- st.State.instructions + 1;
-    let was_vm = Psl.vm st.State.psl in
-    if was_vm then st.State.vm_instructions <- st.State.vm_instructions + 1;
-    was_vm
-  in
-  let retire st start_pc was_vm =
-    let tr = st.State.trace in
-    if Vax_obs.Trace.enabled tr then
-      Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-        ~c:(if was_vm then 1 else 0)
-        start_pc
-  in
-  let finish st start_pc was_vm =
-    State.set_pc st (Word.add start_pc len);
-    retire st start_pc was_vm
-  in
-  let fault0 st pc f = Microcode.dispatch_fault st ~start_pc:pc ~next_pc:pc f in
-  let fault1 st pc f =
-    Microcode.dispatch_fault st ~start_pc:pc ~next_pc:(Word.add pc len) f
-  in
-  (* [check_overflow_trap] + the handler's dispatch, fused *)
-  let ovf_finish st pc was_vm =
-    if Psl.v st.State.psl && Psl.iv st.State.psl then
-      fault1 st pc (State.Arithmetic_trap 1)
-    else finish st pc was_vm
-  in
-  (* pre-resolved operand accessors; [rd_pure] never faults *)
-  let rd_pure = function
-    | F_imm v -> fun _ -> v
-    | F_reg rn -> fun st -> Array.unsafe_get st.State.regs rn
-    | F_mem _ -> assert false
-  in
-  let rd_pure_b = function
-    | F_imm v -> fun _ -> v
-    | F_reg rn -> fun st -> Array.unsafe_get st.State.regs rn land 0xFF
-    | F_mem _ -> assert false
-  in
-  let va_of = function
-    | A_reg rn -> fun st _ -> Array.unsafe_get st.State.regs rn
-    | A_disp (rn, disp) ->
-        fun st _ -> Word.add (Array.unsafe_get st.State.regs rn) disp
-    | A_pc ofs -> fun _ pc -> Word.add pc ofs
-    | A_abs va -> fun _ _ -> va
-  in
-  let rd_mem = function
-    | A_reg rn ->
-        fun st _ ->
-          State.read_long st (State.cur_mode st)
-            (Array.unsafe_get st.State.regs rn)
-    | A_disp (rn, disp) ->
-        fun st _ ->
-          State.read_long st (State.cur_mode st)
-            (Word.add (Array.unsafe_get st.State.regs rn) disp)
-    | A_pc ofs ->
-        fun st pc -> State.read_long st (State.cur_mode st) (Word.add pc ofs)
-    | A_abs va -> fun st _ -> State.read_long st (State.cur_mode st) va
-  in
-  let rd_mem_b = function
-    | A_reg rn ->
-        fun st _ ->
-          State.read_byte st (State.cur_mode st)
-            (Array.unsafe_get st.State.regs rn)
-    | A_disp (rn, disp) ->
-        fun st _ ->
-          State.read_byte st (State.cur_mode st)
-            (Word.add (Array.unsafe_get st.State.regs rn) disp)
-    | A_pc ofs ->
-        fun st pc -> State.read_byte st (State.cur_mode st) (Word.add pc ofs)
-    | A_abs va -> fun st _ -> State.read_byte st (State.cur_mode st) va
-  in
-  let wr_mem = function
-    | A_reg rn ->
-        fun st _ v ->
-          State.write_long st (State.cur_mode st)
-            (Array.unsafe_get st.State.regs rn)
-            v
-    | A_disp (rn, disp) ->
-        fun st _ v ->
-          State.write_long st (State.cur_mode st)
-            (Word.add (Array.unsafe_get st.State.regs rn) disp)
-            v
-    | A_pc ofs ->
-        fun st pc v ->
-          State.write_long st (State.cur_mode st) (Word.add pc ofs) v
-    | A_abs va -> fun st _ v -> State.write_long st (State.cur_mode st) va v
-  in
-  let wr_mem_b = function
-    | A_reg rn ->
-        fun st _ v ->
-          State.write_byte st (State.cur_mode st)
-            (Array.unsafe_get st.State.regs rn)
-            (v land 0xFF)
-    | A_disp (rn, disp) ->
-        fun st _ v ->
-          State.write_byte st (State.cur_mode st)
-            (Word.add (Array.unsafe_get st.State.regs rn) disp)
-            (v land 0xFF)
-    | A_pc ofs ->
-        fun st pc v ->
-          State.write_byte st (State.cur_mode st) (Word.add pc ofs)
-            (v land 0xFF)
-    | A_abs va ->
-        fun st _ v ->
-          State.write_byte st (State.cur_mode st) va (v land 0xFF)
-  in
-  (* write a byte into the low byte of a register, [Decode.write_value]
-     style *)
-  let set_reg_b st rn v =
-    Array.unsafe_set st.State.regs rn
-      (Array.unsafe_get st.State.regs rn land 0xFFFF_FF00 lor (v land 0xFF))
-  in
-  (* conditional branch: one specifier, nothing can fault *)
-  let cbr tofs cond =
-    let call = spec + base in
-    Some
-      (fun st pc ->
+(* The fault next-PC protocol of [fault_finish]: a fault while operands
+   are being read reports [next_pc = start_pc] (fast shapes have no side
+   effects to undo); once evaluation committed — the store, a division
+   trap, the overflow trap — it reports the instruction's end.  A fault
+   raised by [dispatch_fault] itself propagates, as in [step]. *)
+let fault_reading st pc f = Microcode.dispatch_fault st ~start_pc:pc ~next_pc:pc f
+
+let fault_committed st pc len f =
+  Microcode.dispatch_fault st ~start_pc:pc ~next_pc:(Word.add pc len) f
+
+(* [State.set_pc] without its mask: every next PC here is a word
+   already, and the call is not free (see PERF.md). *)
+let[@inline] finish st pc ~enc was_vm next =
+  Array.unsafe_set st.State.regs 15 next;
+  retire st enc pc was_vm
+
+(* The committed half of a fast instruction: kernel, store, overflow
+   trap, PC, retire, with one fault handler over kernel and store. *)
+let[@inline] settle st pc ~len ~tofs ~enc was_vm k dst a b =
+  match
+    match k with
+    | Op op ->
+        store st pc dst (compute st op a b);
+        if traps op then check_overflow_trap st;
+        Word.add pc len
+    | Mov m ->
+        store st pc dst a;
+        move st m a;
+        Word.add pc len
+    | Jump j -> jump st pc ~len ~tofs dst j a b
+  with
+  | exception State.Fault f -> fault_committed st pc len f
+  | next -> finish st pc ~enc was_vm next
+
+(* [settle] fused for the commonest shapes, whose store cannot fault: a
+   value kernel into a longword register or nowhere, and a jump that
+   neither pushes nor pops.  Only a division needs a handler there, and
+   the overflow check is resolved at build time.  [fused_reg] gives the
+   register such a kernel writes, -1 for none, or [None] when the store
+   can fault. *)
+let fused_reg = function
+  | Wr rn -> Some rn
+  | Nowhere -> Some (-1)
+  | Wr_b _ | St _ | St_b _ | Push -> None
+
+let pushes_or_pops = function
+  | Bsb | Jsb | Rsb -> true
+  | Fall | Blbs | Blbc | Sob | Aob | Jmp -> false
+
+let[@inline] op_into st pc ~len ~enc was_vm op ~ovf rn a b =
+  match compute st op a b with
+  | exception State.Fault f -> fault_committed st pc len f
+  | r ->
+      if rn >= 0 then Array.unsafe_set st.State.regs rn r;
+      if ovf && Psl.v st.State.psl && Psl.iv st.State.psl then
+        fault_committed st pc len (State.Arithmetic_trap 1)
+      else finish st pc ~enc was_vm (Word.add pc len)
+
+let[@inline] mov_into st pc ~len ~enc was_vm m rn v =
+  Array.unsafe_set st.State.regs rn v;
+  move st m v;
+  finish st pc ~enc was_vm (Word.add pc len)
+
+(* The arity emitters: the charge-and-commit half for zero, one or two
+   operand reads, specialised on which reads can fault and on the fused
+   shapes above.  [nspec] counts every specifier, and the reads are the
+   first ones.  Each specifier's charge lands before its evaluation, but
+   charges with no fault point between them merge into one
+   [Cycles.charge]: faults are the only mid-instruction observers of the
+   clock (interrupts are sampled at instruction boundaries), and only
+   memory reads can fault.  A slot whose reads are all pure therefore
+   charges once. *)
+let spec = Cost.operand_specifier
+
+let emit0 ~nspec ~len ~tofs ~enc ~base k dst =
+  let call = (nspec * spec) + base in
+  fun st pc ->
+    Cycles.charge st.State.clock call;
+    let was_vm = commit st in
+    settle st pc ~len ~tofs ~enc was_vm k dst 0 0
+
+let emit1 ~nspec ~len ~tofs ~enc ~base a k dst =
+  let call = (nspec * spec) + base and tail = ((nspec - 1) * spec) + base in
+  match (faults a, k, fused_reg dst) with
+  | false, Op op, Some rn ->
+      let ovf = traps op in
+      fun st pc ->
         Cycles.charge st.State.clock call;
-        st.State.instructions <- st.State.instructions + 1;
-        let was_vm = Psl.vm st.State.psl in
-        if was_vm then st.State.vm_instructions <- st.State.vm_instructions + 1;
-        if cond st.State.psl then State.set_pc st (Word.add pc tofs)
-        else State.set_pc st (Word.add pc len);
-        let tr = st.State.trace in
-        if Vax_obs.Trace.enabled tr then
-          Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-            ~c:(if was_vm then 1 else 0)
-            pc)
-  in
-  (* two-operand read-modify-write arithmetic.  [f] may raise (division
-     by zero), always after evaluation committed, so its phase reports
-     the instruction's end.  The register-destination combos inline the
-     commit/retire bookkeeping textually: a helper-call chain costs more
-     than the useful work at this size. *)
-  let arith2 s d f ~ovf =
-    match (s, d) with
-    | (F_imm _ | F_reg _), F_reg dr ->
-        let rd = rd_pure s in
-        let call = (2 * spec) + base in
-        Some
-          (fun st pc ->
-            Cycles.charge st.State.clock call;
-            st.State.instructions <- st.State.instructions + 1;
-            let was_vm = Psl.vm st.State.psl in
-            if was_vm then
-              st.State.vm_instructions <- st.State.vm_instructions + 1;
-            let sv = rd st in
-            let dv = Array.unsafe_get st.State.regs dr in
-            match f st dv sv with
-            | exception State.Fault fe -> fault1 st pc fe
-            | r ->
-                Array.unsafe_set st.State.regs dr (Word.mask r);
-                if ovf && Psl.v st.State.psl && Psl.iv st.State.psl then
-                  fault1 st pc (State.Arithmetic_trap 1)
-                else begin
-                  State.set_pc st (Word.add pc len);
-                  let tr = st.State.trace in
-                  if Vax_obs.Trace.enabled tr then
-                    Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-                      ~c:(if was_vm then 1 else 0)
-                      pc
-                end)
-    | F_mem a, F_reg dr ->
-        let rd = rd_mem a in
-        let tail = spec + base in
-        Some
-          (fun st pc ->
+        let was_vm = commit st in
+        op_into st pc ~len ~enc was_vm op ~ovf rn (read st pc a) 0
+  | false, Mov m, Some rn when rn >= 0 ->
+      fun st pc ->
+        Cycles.charge st.State.clock call;
+        let was_vm = commit st in
+        mov_into st pc ~len ~enc was_vm m rn (read st pc a)
+  | false, Jump j, Some _ when not (pushes_or_pops j) ->
+      fun st pc ->
+        Cycles.charge st.State.clock call;
+        let was_vm = commit st in
+        finish st pc ~enc was_vm (jump st pc ~len ~tofs dst j (read st pc a) 0)
+  | false, _, _ ->
+      fun st pc ->
+        Cycles.charge st.State.clock call;
+        let was_vm = commit st in
+        settle st pc ~len ~tofs ~enc was_vm k dst (read st pc a) 0
+  | true, Mov m, Some rn when rn >= 0 -> (
+      fun st pc ->
+        Cycles.charge st.State.clock spec;
+        match read st pc a with
+        | exception State.Fault f -> fault_reading st pc f
+        | v ->
+            Cycles.charge st.State.clock tail;
+            let was_vm = commit st in
+            mov_into st pc ~len ~enc was_vm m rn v)
+  | true, _, _ -> (
+      fun st pc ->
+        Cycles.charge st.State.clock spec;
+        match read st pc a with
+        | exception State.Fault f -> fault_reading st pc f
+        | av ->
+            Cycles.charge st.State.clock tail;
+            let was_vm = commit st in
+            settle st pc ~len ~tofs ~enc was_vm k dst av 0)
+
+let emit2 ~nspec ~len ~tofs ~enc ~base a b k dst =
+  let call = (nspec * spec) + base in
+  let tail1 = ((nspec - 1) * spec) + base in
+  let tail2 = ((nspec - 2) * spec) + base in
+  match (faults a, faults b, k, fused_reg dst) with
+  | false, false, Op op, Some rn ->
+      let ovf = traps op in
+      fun st pc ->
+        Cycles.charge st.State.clock call;
+        let was_vm = commit st in
+        op_into st pc ~len ~enc was_vm op ~ovf rn (read st pc a) (read st pc b)
+  | false, false, _, _ ->
+      fun st pc ->
+        Cycles.charge st.State.clock call;
+        let was_vm = commit st in
+        settle st pc ~len ~tofs ~enc was_vm k dst (read st pc a) (read st pc b)
+  | true, false, _, _ -> (
+      fun st pc ->
+        Cycles.charge st.State.clock spec;
+        match read st pc a with
+        | exception State.Fault f -> fault_reading st pc f
+        | av ->
+            Cycles.charge st.State.clock tail1;
+            let was_vm = commit st in
+            settle st pc ~len ~tofs ~enc was_vm k dst av (read st pc b))
+  | false, true, _, _ -> (
+      fun st pc ->
+        Cycles.charge st.State.clock (2 * spec);
+        match read st pc b with
+        | exception State.Fault f -> fault_reading st pc f
+        | bv ->
+            Cycles.charge st.State.clock tail2;
+            let was_vm = commit st in
+            settle st pc ~len ~tofs ~enc was_vm k dst (read st pc a) bv)
+  | true, true, _, _ -> (
+      fun st pc ->
+        Cycles.charge st.State.clock spec;
+        match read st pc a with
+        | exception State.Fault f -> fault_reading st pc f
+        | av -> (
             Cycles.charge st.State.clock spec;
-            match rd st pc with
-            | exception State.Fault fe -> fault0 st pc fe
-            | sv -> (
-                Cycles.charge st.State.clock tail;
-                st.State.instructions <- st.State.instructions + 1;
-                let was_vm = Psl.vm st.State.psl in
-                if was_vm then
-                  st.State.vm_instructions <- st.State.vm_instructions + 1;
-                let dv = Array.unsafe_get st.State.regs dr in
-                match f st dv sv with
-                | exception State.Fault fe -> fault1 st pc fe
-                | r ->
-                    Array.unsafe_set st.State.regs dr (Word.mask r);
-                    if ovf && Psl.v st.State.psl && Psl.iv st.State.psl then
-                      fault1 st pc (State.Arithmetic_trap 1)
-                    else begin
-                      State.set_pc st (Word.add pc len);
-                      let tr = st.State.trace in
-                      if Vax_obs.Trace.enabled tr then
-                        Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-                          ~c:(if was_vm then 1 else 0)
-                          pc
-                    end))
-    | (F_imm _ | F_reg _), F_mem a ->
-        let rd = rd_pure s in
-        let rdm = rd_mem a in
-        let wrm = wr_mem a in
-        Some
-          (fun st pc ->
-            Cycles.charge st.State.clock (2 * spec);
-            match rdm st pc with
-            | exception State.Fault fe -> fault0 st pc fe
-            | dv -> (
-                Cycles.charge st.State.clock base;
+            match read st pc b with
+            | exception State.Fault f -> fault_reading st pc f
+            | bv ->
+                Cycles.charge st.State.clock tail2;
                 let was_vm = commit st in
-                let sv = rd st in
-                match
-                  let r = f st dv sv in
-                  wrm st pc r
-                with
-                | exception State.Fault fe -> fault1 st pc fe
-                | () ->
-                    if ovf then ovf_finish st pc was_vm
-                    else finish st pc was_vm))
-    | F_mem sa, F_mem da ->
-        let rds = rd_mem sa in
-        let rdm = rd_mem da in
-        let wrm = wr_mem da in
-        Some
-          (fun st pc ->
-            Cycles.charge st.State.clock spec;
-            match rds st pc with
-            | exception State.Fault fe -> fault0 st pc fe
-            | sv -> (
-                Cycles.charge st.State.clock spec;
-                match rdm st pc with
-                | exception State.Fault fe -> fault0 st pc fe
-                | dv -> (
-                    Cycles.charge st.State.clock base;
-                    let was_vm = commit st in
-                    match
-                      let r = f st dv sv in
-                      wrm st pc r
-                    with
-                    | exception State.Fault fe -> fault1 st pc fe
-                    | () ->
-                        if ovf then ovf_finish st pc was_vm
-                        else finish st pc was_vm)))
-    | _, F_imm _ -> None
-  in
-  (* three-operand arithmetic with a register destination; memory
-     destinations fall back to the generic compiler *)
-  let arith3 a b d f ~ovf =
-    match (a, b, d) with
-    | (F_imm _ | F_reg _), (F_imm _ | F_reg _), F_reg dr ->
-        let rda = rd_pure a in
-        let rdb = rd_pure b in
-        let call = (3 * spec) + base in
-        Some
-          (fun st pc ->
-            Cycles.charge st.State.clock call;
-            st.State.instructions <- st.State.instructions + 1;
-            let was_vm = Psl.vm st.State.psl in
-            if was_vm then
-              st.State.vm_instructions <- st.State.vm_instructions + 1;
-            let av = rda st in
-            let bv = rdb st in
-            match f st av bv with
-            | exception State.Fault fe -> fault1 st pc fe
-            | r ->
-                Array.unsafe_set st.State.regs dr (Word.mask r);
-                if ovf && Psl.v st.State.psl && Psl.iv st.State.psl then
-                  fault1 st pc (State.Arithmetic_trap 1)
-                else begin
-                  State.set_pc st (Word.add pc len);
-                  let tr = st.State.trace in
-                  if Vax_obs.Trace.enabled tr then
-                    Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-                      ~c:(if was_vm then 1 else 0)
-                      pc
-                end)
-    | F_mem aa, (F_imm _ | F_reg _), F_reg dr ->
-        let rda = rd_mem aa in
-        let rdb = rd_pure b in
-        let tail = (2 * spec) + base in
-        Some
-          (fun st pc ->
-            Cycles.charge st.State.clock spec;
-            match rda st pc with
-            | exception State.Fault fe -> fault0 st pc fe
-            | av -> (
-                Cycles.charge st.State.clock tail;
-                let was_vm = commit st in
-                let bv = rdb st in
-                match f st av bv with
-                | exception State.Fault fe -> fault1 st pc fe
-                | r ->
-                    Array.unsafe_set st.State.regs dr (Word.mask r);
-                    if ovf then ovf_finish st pc was_vm
-                    else finish st pc was_vm))
-    | (F_imm _ | F_reg _), F_mem ba, F_reg dr ->
-        let rda = rd_pure a in
-        let rdb = rd_mem ba in
-        let tail = spec + base in
-        Some
-          (fun st pc ->
-            Cycles.charge st.State.clock (2 * spec);
-            match rdb st pc with
-            | exception State.Fault fe -> fault0 st pc fe
-            | bv -> (
-                Cycles.charge st.State.clock tail;
-                let was_vm = commit st in
-                let av = rda st in
-                match f st av bv with
-                | exception State.Fault fe -> fault1 st pc fe
-                | r ->
-                    Array.unsafe_set st.State.regs dr (Word.mask r);
-                    if ovf then ovf_finish st pc was_vm
-                    else finish st pc was_vm))
-    | _ -> None
-  in
-  match (op, fargs_of_tmpl tmpl) with
-  | Opcode.Nop, [] ->
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock base;
-          let was_vm = commit st in
-          finish st pc was_vm)
-  | Opcode.Movl, [ FA s; FA d ] -> (
-      match (s, d) with
-      | (F_imm _ | F_reg _), F_reg dr ->
-          let rd = rd_pure s in
-          let call = (2 * spec) + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock call;
-              st.State.instructions <- st.State.instructions + 1;
-              let was_vm = Psl.vm st.State.psl in
-              if was_vm then
-                st.State.vm_instructions <- st.State.vm_instructions + 1;
-              let v = rd st in
-              Array.unsafe_set st.State.regs dr (Word.mask v);
-              set_nz_keep_c st v;
-              State.set_pc st (Word.add pc len);
-              let tr = st.State.trace in
-              if Vax_obs.Trace.enabled tr then
-                Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-                  ~c:(if was_vm then 1 else 0)
-                  pc)
-      | F_mem a, F_reg dr ->
-          let rd = rd_mem a in
-          let tail = spec + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rd st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | v ->
-                  Cycles.charge st.State.clock tail;
-                  st.State.instructions <- st.State.instructions + 1;
-                  let was_vm = Psl.vm st.State.psl in
-                  if was_vm then
-                    st.State.vm_instructions <- st.State.vm_instructions + 1;
-                  Array.unsafe_set st.State.regs dr (Word.mask v);
-                  set_nz_keep_c st v;
-                  State.set_pc st (Word.add pc len);
-                  let tr = st.State.trace in
-                  if Vax_obs.Trace.enabled tr then
-                    Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-                      ~c:(if was_vm then 1 else 0)
-                      pc)
-      | (F_imm _ | F_reg _), F_mem a ->
-          let rd = rd_pure s in
-          let wrm = wr_mem a in
-          let call = (2 * spec) + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock call;
-              st.State.instructions <- st.State.instructions + 1;
-              let was_vm = Psl.vm st.State.psl in
-              if was_vm then
-                st.State.vm_instructions <- st.State.vm_instructions + 1;
-              let v = rd st in
-              match wrm st pc v with
-              | exception State.Fault f -> fault1 st pc f
-              | () ->
-                  set_nz_keep_c st v;
-                  State.set_pc st (Word.add pc len);
-                  let tr = st.State.trace in
-                  if Vax_obs.Trace.enabled tr then
-                    Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-                      ~c:(if was_vm then 1 else 0)
-                      pc)
-      | F_mem sa, F_mem da ->
-          let rd = rd_mem sa in
-          let wrm = wr_mem da in
-          let tail = spec + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rd st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | v -> (
-                  Cycles.charge st.State.clock tail;
-                  let was_vm = commit st in
-                  match wrm st pc v with
-                  | exception State.Fault f -> fault1 st pc f
-                  | () ->
-                      set_nz_keep_c st v;
-                      finish st pc was_vm))
-      | _, F_imm _ -> None)
-  | Opcode.Movb, [ FA s; FA d ] -> (
-      match (s, d) with
-      | (F_imm _ | F_reg _), F_reg dr ->
-          let rd = rd_pure_b s in
-          let call = (2 * spec) + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock call;
-              let was_vm = commit st in
-              let v = rd st land 0xFF in
-              set_reg_b st dr v;
-              set_nz_byte_keep_c st v;
-              finish st pc was_vm)
-      | F_mem a, F_reg dr ->
-          let rd = rd_mem_b a in
-          let tail = spec + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rd st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | v0 ->
-                  Cycles.charge st.State.clock tail;
-                  let was_vm = commit st in
-                  let v = v0 land 0xFF in
-                  set_reg_b st dr v;
-                  set_nz_byte_keep_c st v;
-                  finish st pc was_vm)
-      | (F_imm _ | F_reg _), F_mem a ->
-          let rd = rd_pure_b s in
-          let wrm = wr_mem_b a in
-          let call = (2 * spec) + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock call;
-              let was_vm = commit st in
-              let v = rd st land 0xFF in
-              match wrm st pc v with
-              | exception State.Fault f -> fault1 st pc f
-              | () ->
-                  set_nz_byte_keep_c st v;
-                  finish st pc was_vm)
-      | F_mem sa, F_mem da ->
-          let rd = rd_mem_b sa in
-          let wrm = wr_mem_b da in
-          let tail = spec + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rd st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | v0 -> (
-                  Cycles.charge st.State.clock tail;
-                  let was_vm = commit st in
-                  let v = v0 land 0xFF in
-                  match wrm st pc v with
-                  | exception State.Fault f -> fault1 st pc f
-                  | () ->
-                      set_nz_byte_keep_c st v;
-                      finish st pc was_vm))
-      | _, F_imm _ -> None)
-  | Opcode.Movzbl, [ FA s; FA (F_reg dr) ] -> (
-      match s with
-      | F_imm _ | F_reg _ ->
-          let rd = rd_pure_b s in
-          let call = (2 * spec) + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock call;
-              let was_vm = commit st in
-              let v = rd st land 0xFF in
-              Array.unsafe_set st.State.regs dr (Word.mask v);
-              (* zero-extended, so N is false either way: the long
-                 keep-C helper computes the same bits *)
-              set_nz_keep_c st v;
-              finish st pc was_vm)
-      | F_mem a ->
-          let rd = rd_mem_b a in
-          let tail = spec + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rd st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | v0 ->
-                  Cycles.charge st.State.clock tail;
-                  let was_vm = commit st in
-                  let v = v0 land 0xFF in
-                  Array.unsafe_set st.State.regs dr (Word.mask v);
-                  set_nz_keep_c st v;
-                  finish st pc was_vm))
-  | Opcode.Clrl, [ FA (F_reg dr) ] ->
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          Array.unsafe_set st.State.regs dr 0;
-          set_nz_keep_c st 0;
-          finish st pc was_vm)
-  | Opcode.Clrl, [ FA (F_mem a) ] ->
-      let wrm = wr_mem a in
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          match wrm st pc 0 with
-          | exception State.Fault f -> fault1 st pc f
-          | () ->
-              set_nz_keep_c st 0;
-              finish st pc was_vm)
-  | Opcode.Clrb, [ FA (F_reg dr) ] ->
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          set_reg_b st dr 0;
-          set_nz_byte_keep_c st 0;
-          finish st pc was_vm)
-  | Opcode.Clrb, [ FA (F_mem a) ] ->
-      let wrm = wr_mem_b a in
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          match wrm st pc 0 with
-          | exception State.Fault f -> fault1 st pc f
-          | () ->
-              set_nz_byte_keep_c st 0;
-              finish st pc was_vm)
-  | Opcode.Tstl, [ FA ((F_imm _ | F_reg _) as s) ] ->
-      let rd = rd_pure s in
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          let v = rd st in
-          set_nzvc st ~n:(Word.to_signed v < 0) ~z:(v = 0) ~v:false ~c:false;
-          finish st pc was_vm)
-  | Opcode.Tstl, [ FA (F_mem a) ] ->
-      let rd = rd_mem a in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock spec;
-          match rd st pc with
-          | exception State.Fault f -> fault0 st pc f
-          | v ->
-              Cycles.charge st.State.clock base;
-              let was_vm = commit st in
-              set_nzvc st ~n:(Word.to_signed v < 0) ~z:(v = 0) ~v:false ~c:false;
-              finish st pc was_vm)
-  | Opcode.Tstb, [ FA ((F_imm _ | F_reg _) as s) ] ->
-      let rd = rd_pure_b s in
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          let v = rd st land 0xFF in
-          set_nzvc st ~n:(v land 0x80 <> 0) ~z:(v = 0) ~v:false ~c:false;
-          finish st pc was_vm)
-  | Opcode.Tstb, [ FA (F_mem a) ] ->
-      let rd = rd_mem_b a in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock spec;
-          match rd st pc with
-          | exception State.Fault f -> fault0 st pc f
-          | v0 ->
-              Cycles.charge st.State.clock base;
-              let was_vm = commit st in
-              let v = v0 land 0xFF in
-              set_nzvc st ~n:(v land 0x80 <> 0) ~z:(v = 0) ~v:false ~c:false;
-              finish st pc was_vm)
-  | Opcode.Cmpl, [ FA a; FA b ] -> (
-      match (a, b) with
-      | (F_imm _ | F_reg _), (F_imm _ | F_reg _) ->
-          let rda = rd_pure a in
-          let rdb = rd_pure b in
-          let call = (2 * spec) + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock call;
-              let was_vm = commit st in
-              compare_long st (rda st) (rdb st);
-              finish st pc was_vm)
-      | F_mem aa, (F_imm _ | F_reg _) ->
-          let rda = rd_mem aa in
-          let rdb = rd_pure b in
-          let tail = spec + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rda st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | av ->
-                  Cycles.charge st.State.clock tail;
-                  let was_vm = commit st in
-                  compare_long st av (rdb st);
-                  finish st pc was_vm)
-      | (F_imm _ | F_reg _), F_mem ba ->
-          let rda = rd_pure a in
-          let rdb = rd_mem ba in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock (2 * spec);
-              match rdb st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | bv ->
-                  Cycles.charge st.State.clock base;
-                  let was_vm = commit st in
-                  compare_long st (rda st) bv;
-                  finish st pc was_vm)
-      | F_mem aa, F_mem ba ->
-          let rda = rd_mem aa in
-          let rdb = rd_mem ba in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rda st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | av -> (
-                  Cycles.charge st.State.clock spec;
-                  match rdb st pc with
-                  | exception State.Fault f -> fault0 st pc f
-                  | bv ->
-                      Cycles.charge st.State.clock base;
-                      let was_vm = commit st in
-                      compare_long st av bv;
-                      finish st pc was_vm)))
-  | Opcode.Cmpb, [ FA a; FA b ] -> (
-      match (a, b) with
-      | (F_imm _ | F_reg _), (F_imm _ | F_reg _) ->
-          let rda = rd_pure_b a in
-          let rdb = rd_pure_b b in
-          let call = (2 * spec) + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock call;
-              let was_vm = commit st in
-              compare_byte st (rda st) (rdb st);
-              finish st pc was_vm)
-      | F_mem aa, (F_imm _ | F_reg _) ->
-          let rda = rd_mem_b aa in
-          let rdb = rd_pure_b b in
-          let tail = spec + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rda st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | av ->
-                  Cycles.charge st.State.clock tail;
-                  let was_vm = commit st in
-                  compare_byte st av (rdb st);
-                  finish st pc was_vm)
-      | (F_imm _ | F_reg _), F_mem ba ->
-          let rda = rd_pure_b a in
-          let rdb = rd_mem_b ba in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock (2 * spec);
-              match rdb st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | bv ->
-                  Cycles.charge st.State.clock base;
-                  let was_vm = commit st in
-                  compare_byte st (rda st) bv;
-                  finish st pc was_vm)
-      | F_mem aa, F_mem ba ->
-          let rda = rd_mem_b aa in
-          let rdb = rd_mem_b ba in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rda st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | av -> (
-                  Cycles.charge st.State.clock spec;
-                  match rdb st pc with
-                  | exception State.Fault f -> fault0 st pc f
-                  | bv ->
-                      Cycles.charge st.State.clock base;
-                      let was_vm = commit st in
-                      compare_byte st av bv;
-                      finish st pc was_vm)))
-  | Opcode.Pushl, [ FA ((F_imm _ | F_reg _) as s) ] ->
-      let rd = rd_pure s in
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          let v = rd st in
-          match State.push_long st v with
-          | exception State.Fault f -> fault1 st pc f
-          | () ->
-              set_nz_keep_c st v;
-              finish st pc was_vm)
-  | Opcode.Pushl, [ FA (F_mem a) ] ->
-      let rd = rd_mem a in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock spec;
-          match rd st pc with
-          | exception State.Fault f -> fault0 st pc f
-          | v -> (
-              Cycles.charge st.State.clock base;
-              let was_vm = commit st in
-              match State.push_long st v with
-              | exception State.Fault f -> fault1 st pc f
-              | () ->
-                  set_nz_keep_c st v;
-                  finish st pc was_vm))
-  | Opcode.Moval, [ FA (F_mem a); FA (F_reg dr) ] ->
-      let va = va_of a in
-      let call = (2 * spec) + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          let v = va st pc in
-          Array.unsafe_set st.State.regs dr (Word.mask v);
-          set_nz_keep_c st v;
-          finish st pc was_vm)
-  | Opcode.Moval, [ FA (F_mem a); FA (F_mem da) ] ->
-      let va = va_of a in
-      let wrm = wr_mem da in
-      let call = (2 * spec) + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          let v = va st pc in
-          match wrm st pc v with
-          | exception State.Fault f -> fault1 st pc f
-          | () ->
-              set_nz_keep_c st v;
-              finish st pc was_vm)
-  | Opcode.Incl, [ FA (F_reg dr) ] ->
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          st.State.instructions <- st.State.instructions + 1;
-          let was_vm = Psl.vm st.State.psl in
-          if was_vm then
-            st.State.vm_instructions <- st.State.vm_instructions + 1;
-          let r = do_add st (Array.unsafe_get st.State.regs dr) 1 in
-          Array.unsafe_set st.State.regs dr r;
-          if Psl.v st.State.psl && Psl.iv st.State.psl then
-            fault1 st pc (State.Arithmetic_trap 1)
-          else begin
-            State.set_pc st (Word.add pc len);
-            let tr = st.State.trace in
-            if Vax_obs.Trace.enabled tr then
-              Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-                ~c:(if was_vm then 1 else 0)
-                pc
-          end)
-  | Opcode.Decl, [ FA (F_reg dr) ] ->
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          st.State.instructions <- st.State.instructions + 1;
-          let was_vm = Psl.vm st.State.psl in
-          if was_vm then
-            st.State.vm_instructions <- st.State.vm_instructions + 1;
-          let r = do_sub st (Array.unsafe_get st.State.regs dr) 1 in
-          Array.unsafe_set st.State.regs dr r;
-          if Psl.v st.State.psl && Psl.iv st.State.psl then
-            fault1 st pc (State.Arithmetic_trap 1)
-          else begin
-            State.set_pc st (Word.add pc len);
-            let tr = st.State.trace in
-            if Vax_obs.Trace.enabled tr then
-              Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-                ~c:(if was_vm then 1 else 0)
-                pc
-          end)
-  | Opcode.Incl, [ FA (F_mem a) ] ->
-      let rdm = rd_mem a in
-      let wrm = wr_mem a in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock spec;
-          match rdm st pc with
-          | exception State.Fault f -> fault0 st pc f
-          | dv -> (
-              Cycles.charge st.State.clock base;
-              let was_vm = commit st in
-              let r = do_add st dv 1 in
-              match wrm st pc r with
-              | exception State.Fault f -> fault1 st pc f
-              | () -> ovf_finish st pc was_vm))
-  | Opcode.Decl, [ FA (F_mem a) ] ->
-      let rdm = rd_mem a in
-      let wrm = wr_mem a in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock spec;
-          match rdm st pc with
-          | exception State.Fault f -> fault0 st pc f
-          | dv -> (
-              Cycles.charge st.State.clock base;
-              let was_vm = commit st in
-              let r = do_sub st dv 1 in
-              match wrm st pc r with
-              | exception State.Fault f -> fault1 st pc f
-              | () -> ovf_finish st pc was_vm))
-  | Opcode.Mnegl, [ FA ((F_imm _ | F_reg _) as s); FA (F_reg dr) ] ->
-      let rd = rd_pure s in
-      let call = (2 * spec) + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          let r = do_sub st 0 (rd st) in
-          Array.unsafe_set st.State.regs dr (Word.mask r);
-          ovf_finish st pc was_vm)
-  | Opcode.Mnegl, [ FA (F_mem a); FA (F_reg dr) ] ->
-      let rd = rd_mem a in
-      let tail = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock spec;
-          match rd st pc with
-          | exception State.Fault f -> fault0 st pc f
-          | sv ->
-              Cycles.charge st.State.clock tail;
-              let was_vm = commit st in
-              let r = do_sub st 0 sv in
-              Array.unsafe_set st.State.regs dr (Word.mask r);
-              ovf_finish st pc was_vm)
-  | Opcode.Addl2, [ FA s; FA d ] -> arith2 s d do_add ~ovf:true
-  | Opcode.Subl2, [ FA s; FA d ] -> arith2 s d do_sub ~ovf:true
-  | Opcode.Mull2, [ FA s; FA d ] -> arith2 s d do_mul ~ovf:true
-  | Opcode.Divl2, [ FA s; FA d ] -> arith2 s d do_div ~ovf:false
-  | Opcode.Bisl2, [ FA s; FA d ] ->
-      arith2 s d (fun st x y -> do_logic st Word.logor x y) ~ovf:false
-  | Opcode.Bicl2, [ FA s; FA d ] ->
-      arith2 s d
-        (fun st x y -> do_logic st (fun a b -> Word.logand a (Word.lognot b)) x y)
-        ~ovf:false
-  | Opcode.Xorl2, [ FA s; FA d ] ->
-      arith2 s d (fun st x y -> do_logic st Word.logxor x y) ~ovf:false
-  | Opcode.Addl3, [ FA a; FA b; FA d ] -> arith3 a b d do_add ~ovf:true
-  | Opcode.Subl3, [ FA a; FA b; FA d ] ->
-      arith3 a b d (fun st x y -> do_sub st y x) ~ovf:true
-  | Opcode.Mull3, [ FA a; FA b; FA d ] -> arith3 a b d do_mul ~ovf:true
-  | Opcode.Divl3, [ FA a; FA b; FA d ] ->
-      arith3 a b d (fun st x y -> do_div st y x) ~ovf:false
-  | Opcode.Bisl3, [ FA a; FA b; FA d ] ->
-      arith3 a b d (fun st x y -> do_logic st Word.logor x y) ~ovf:false
-  | Opcode.Bicl3, [ FA a; FA b; FA d ] ->
-      arith3 a b d
-        (fun st x y -> do_logic st (fun a b -> Word.logand b (Word.lognot a)) x y)
-        ~ovf:false
-  | Opcode.Xorl3, [ FA a; FA b; FA d ] ->
-      arith3 a b d (fun st x y -> do_logic st Word.logxor x y) ~ovf:false
-  | (Opcode.Brb | Opcode.Brw), [ FB tofs ] -> cbr tofs (fun _ -> true)
-  | Opcode.Bneq, [ FB t ] -> cbr t (fun p -> not (Psl.z p))
-  | Opcode.Beql, [ FB t ] -> cbr t Psl.z
-  | Opcode.Bgtr, [ FB t ] -> cbr t (fun p -> not (Psl.n p || Psl.z p))
-  | Opcode.Bleq, [ FB t ] -> cbr t (fun p -> Psl.n p || Psl.z p)
-  | Opcode.Bgeq, [ FB t ] -> cbr t (fun p -> not (Psl.n p))
-  | Opcode.Blss, [ FB t ] -> cbr t Psl.n
-  | Opcode.Bgtru, [ FB t ] -> cbr t (fun p -> not (Psl.c p || Psl.z p))
-  | Opcode.Blequ, [ FB t ] -> cbr t (fun p -> Psl.c p || Psl.z p)
-  | Opcode.Bvc, [ FB t ] -> cbr t (fun p -> not (Psl.v p))
-  | Opcode.Bvs, [ FB t ] -> cbr t Psl.v
-  | Opcode.Bcc, [ FB t ] -> cbr t (fun p -> not (Psl.c p))
-  | Opcode.Bcs, [ FB t ] -> cbr t Psl.c
-  | (Opcode.Blbs | Opcode.Blbc), [ FA ((F_imm _ | F_reg _) as s); FB tofs ]
-    ->
-      let want = if op = Opcode.Blbs then 1 else 0 in
-      let rd = rd_pure s in
-      let call = (2 * spec) + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          if rd st land 1 = want then State.set_pc st (Word.add pc tofs)
-          else State.set_pc st (Word.add pc len);
-          retire st pc was_vm)
-  | (Opcode.Blbs | Opcode.Blbc), [ FA (F_mem a); FB tofs ] ->
-      let want = if op = Opcode.Blbs then 1 else 0 in
-      let rd = rd_mem a in
-      let tail = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock spec;
-          match rd st pc with
-          | exception State.Fault f -> fault0 st pc f
-          | v ->
-              Cycles.charge st.State.clock tail;
-              let was_vm = commit st in
-              if v land 1 = want then State.set_pc st (Word.add pc tofs)
-              else State.set_pc st (Word.add pc len);
-              retire st pc was_vm)
-  | Opcode.Sobgtr, [ FA (F_reg rn); FB tofs ] ->
-      let call = (2 * spec) + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          st.State.instructions <- st.State.instructions + 1;
-          let was_vm = Psl.vm st.State.psl in
-          if was_vm then
-            st.State.vm_instructions <- st.State.vm_instructions + 1;
-          let r = do_sub st (Array.unsafe_get st.State.regs rn) 1 in
-          Array.unsafe_set st.State.regs rn r;
-          if Word.to_signed r > 0 then State.set_pc st (Word.add pc tofs)
-          else State.set_pc st (Word.add pc len);
-          let tr = st.State.trace in
-          if Vax_obs.Trace.enabled tr then
-            Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-              ~c:(if was_vm then 1 else 0)
-              pc)
-  | Opcode.Aoblss, [ FA ((F_imm _ | F_reg _) as l); FA (F_reg rn); FB tofs ]
-    ->
-      let rdl = rd_pure l in
-      let call = (3 * spec) + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          let lv = rdl st in
-          let r = do_add st (Array.unsafe_get st.State.regs rn) 1 in
-          Array.unsafe_set st.State.regs rn r;
-          if Word.signed_lt r lv then State.set_pc st (Word.add pc tofs)
-          else State.set_pc st (Word.add pc len);
-          retire st pc was_vm)
-  | Opcode.Bsbb, [ FB tofs ] ->
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          match State.push_long st (Word.add pc len) with
-          | exception State.Fault f -> fault1 st pc f
-          | () ->
-              State.set_pc st (Word.add pc tofs);
-              retire st pc was_vm)
-  | Opcode.Jsb, [ FA (F_mem a) ] ->
-      let va = va_of a in
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          let target = va st pc in
-          match State.push_long st (Word.add pc len) with
-          | exception State.Fault f -> fault1 st pc f
-          | () ->
-              State.set_pc st target;
-              retire st pc was_vm)
-  | Opcode.Jmp, [ FA (F_mem a) ] ->
-      let va = va_of a in
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          State.set_pc st (va st pc);
-          retire st pc was_vm)
-  | Opcode.Rsb, [] ->
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock base;
-          let was_vm = commit st in
-          match State.pop_long st with
-          | exception State.Fault f -> fault1 st pc f
-          | v ->
-              State.set_pc st v;
-              retire st pc was_vm)
+                settle st pc ~len ~tofs ~enc was_vm k dst av bv))
+
+(* The branch emitter: a conditional branch's one specifier is its
+   displacement, and nothing in it can fault. *)
+let emit_branch ~len ~enc ~base ~tofs cond =
+  let call = spec + base in
+  fun st pc ->
+    Cycles.charge st.State.clock call;
+    let was_vm = commit st in
+    finish st pc ~enc was_vm
+      (Word.add pc (if cond st.State.psl then tofs else len))
+
+let condition = function
+  | Opcode.Brb | Opcode.Brw -> Some (fun _ -> true)
+  | Opcode.Bneq -> Some (fun p -> not (Psl.z p))
+  | Opcode.Beql -> Some Psl.z
+  | Opcode.Bgtr -> Some (fun p -> not (Psl.n p || Psl.z p))
+  | Opcode.Bleq -> Some (fun p -> Psl.n p || Psl.z p)
+  | Opcode.Bgeq -> Some (fun p -> not (Psl.n p))
+  | Opcode.Blss -> Some Psl.n
+  | Opcode.Bgtru -> Some (fun p -> not (Psl.c p || Psl.z p))
+  | Opcode.Blequ -> Some (fun p -> Psl.c p || Psl.z p)
+  | Opcode.Bvc -> Some (fun p -> not (Psl.v p))
+  | Opcode.Bvs -> Some Psl.v
+  | Opcode.Bcc -> Some (fun p -> not (Psl.c p))
+  | Opcode.Bcs -> Some Psl.c
   | _ -> None
 
-(* Generic fast compiler: the [np] ref tracks the fault next-PC exactly
-   like [step]'s [decoded] option: [start_pc] while operands are still
-   being evaluated (no undo needed — fast shapes have no side effects),
-   the instruction's end once evaluation committed.  A fault raised by
-   [dispatch_fault] itself propagates, as in [step].  The hottest
-   opcode/operand combinations never reach this compiler — see
-   [compile_fast_hot] below. *)
-let compile_fast_gen (tmpl : Decode_cache.template) =
+let arith = function
+  | Opcode.Addl2 | Opcode.Addl3 -> Some Add
+  | Opcode.Subl2 | Opcode.Subl3 -> Some Sub
+  | Opcode.Mull2 | Opcode.Mull3 -> Some Mul
+  | Opcode.Divl2 | Opcode.Divl3 -> Some Div
+  | Opcode.Bisl2 | Opcode.Bisl3 -> Some Bis
+  | Opcode.Bicl2 | Opcode.Bicl3 -> Some Bic
+  | Opcode.Xorl2 | Opcode.Xorl3 -> Some Xor
+  | _ -> None
+
+(* The fast compiler: [None] unless every specifier has a fast shape and
+   the opcode has a kernel.  Each arm names the data specifiers the
+   kernel reads, in order, and the destination. *)
+let compile_fast (tmpl : Decode_cache.template) =
   let op = tmpl.Decode_cache.t_opcode in
   let len = tmpl.Decode_cache.t_len in
+  let specs = tmpl.Decode_cache.t_specs in
+  let nspec = List.length specs in
   let base = Opcode.base_cycles op in
   let enc = enc_int op in
-  let commit st =
-    st.State.instructions <- st.State.instructions + 1;
-    let was_vm = Psl.vm st.State.psl in
-    if was_vm then st.State.vm_instructions <- st.State.vm_instructions + 1;
-    Cycles.charge st.State.clock base;
-    was_vm
+  let data, tofs =
+    List.fold_right
+      (fun (ts : Decode_cache.tspec) (data, tofs) ->
+        match ts.Decode_cache.t_shape with
+        | Decode_cache.Sh_branch disp ->
+            (data, Word.add disp ts.Decode_cache.t_after)
+        | _ -> (ts :: data, tofs))
+      specs ([], 0)
   in
-  let retire st start_pc was_vm =
-    let tr = st.State.trace in
-    if Vax_obs.Trace.enabled tr then
-      Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-        ~c:(if was_vm then 1 else 0)
-        start_pc
-  in
-  let finish st start_pc was_vm =
-    State.set_pc st (Word.add start_pc len);
-    retire st start_pc was_vm
-  in
-  let slot body =
+  let emit reads k dst =
     Some
-      (fun st start_pc ->
-        let np = ref start_pc in
-        try body st start_pc np
-        with State.Fault f ->
-          Microcode.dispatch_fault st ~start_pc ~next_pc:!np f)
+      (match List.map reader reads with
+      | [] -> emit0 ~nspec ~len ~tofs ~enc ~base k dst
+      | [ a ] -> emit1 ~nspec ~len ~tofs ~enc ~base a k dst
+      | [ a; b ] -> emit2 ~nspec ~len ~tofs ~enc ~base a b k dst
+      | _ -> assert false)
   in
-  let cbr tofs cond =
-    slot (fun st pc np ->
-        charge_spec st;
-        np := Word.add pc len;
-        let was_vm = commit st in
-        if cond st.State.psl then State.set_pc st (Word.add pc tofs)
-        else State.set_pc st (Word.add pc len);
-        retire st pc was_vm)
-  in
-  let arith2 s d f ~ovf =
-    slot (fun st pc np ->
-        charge_spec st;
-        let sv = fread_long st pc s in
-        charge_spec st;
-        let dv = fmodify_long st pc d in
-        np := Word.add pc len;
-        let was_vm = commit st in
-        let r = f st dv sv in
-        fwrite_long st pc d r;
-        if ovf then check_overflow_trap st;
-        finish st pc was_vm)
-  in
-  let arith3 a b d f ~ovf =
-    slot (fun st pc np ->
-        charge_spec st;
-        let av = fread_long st pc a in
-        charge_spec st;
-        let bv = fread_long st pc b in
-        charge_spec st;
-        np := Word.add pc len;
-        let was_vm = commit st in
-        let r = f st av bv in
-        fwrite_long st pc d r;
-        if ovf then check_overflow_trap st;
-        finish st pc was_vm)
-  in
-  match (op, fargs_of_tmpl tmpl) with
-  | Opcode.Nop, [] ->
-      slot (fun st pc np ->
-          np := Word.add pc len;
-          let was_vm = commit st in
-          finish st pc was_vm)
-  | Opcode.Movl, [ FA s; FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let v = fread_long st pc s in
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          fwrite_long st pc d v;
-          set_nz_keep_c st v;
-          finish st pc was_vm)
-  | Opcode.Movb, [ FA s; FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let v = fread_byte st pc s land 0xFF in
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          fwrite_byte st pc d v;
-          set_nz_byte_keep_c st v;
-          finish st pc was_vm)
-  | Opcode.Movzbl, [ FA s; FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let v = fread_byte st pc s land 0xFF in
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          fwrite_long st pc d v;
-          set_nzvc st ~n:false ~z:(v = 0) ~v:false ~c:(Psl.c st.State.psl);
-          finish st pc was_vm)
-  | Opcode.Clrl, [ FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          fwrite_long st pc d 0;
-          set_nz_keep_c st 0;
-          finish st pc was_vm)
-  | Opcode.Clrb, [ FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          fwrite_byte st pc d 0;
-          set_nz_byte_keep_c st 0;
-          finish st pc was_vm)
-  | Opcode.Tstl, [ FA s ] ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let v = fread_long st pc s in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          set_nzvc st ~n:(Word.to_signed v < 0) ~z:(v = 0) ~v:false ~c:false;
-          finish st pc was_vm)
-  | Opcode.Tstb, [ FA s ] ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let v = fread_byte st pc s land 0xFF in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          set_nzvc st ~n:(v land 0x80 <> 0) ~z:(v = 0) ~v:false ~c:false;
-          finish st pc was_vm)
-  | Opcode.Cmpl, [ FA a; FA b ] ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let av = fread_long st pc a in
-          charge_spec st;
-          let bv = fread_long st pc b in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          compare_long st av bv;
-          finish st pc was_vm)
-  | Opcode.Cmpb, [ FA a; FA b ] ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let av = fread_byte st pc a in
-          charge_spec st;
-          let bv = fread_byte st pc b in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          compare_byte st av bv;
-          finish st pc was_vm)
-  | Opcode.Pushl, [ FA s ] ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let v = fread_long st pc s in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          State.push_long st v;
-          set_nz_keep_c st v;
-          finish st pc was_vm)
-  | Opcode.Moval, [ FA (F_mem a); FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let va = faddr_va st pc a in
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          fwrite_long st pc d va;
-          set_nz_keep_c st va;
-          finish st pc was_vm)
-  | Opcode.Incl, [ FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let dv = fmodify_long st pc d in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          let r = do_add st dv 1 in
-          fwrite_long st pc d r;
-          check_overflow_trap st;
-          finish st pc was_vm)
-  | Opcode.Decl, [ FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let dv = fmodify_long st pc d in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          let r = do_sub st dv 1 in
-          fwrite_long st pc d r;
-          check_overflow_trap st;
-          finish st pc was_vm)
-  | Opcode.Mnegl, [ FA s; FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let sv = fread_long st pc s in
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          let r = do_sub st 0 sv in
-          fwrite_long st pc d r;
-          check_overflow_trap st;
-          finish st pc was_vm)
-  | Opcode.Addl2, [ FA s; FA d ] when wr d -> arith2 s d do_add ~ovf:true
-  | Opcode.Subl2, [ FA s; FA d ] when wr d -> arith2 s d do_sub ~ovf:true
-  | Opcode.Mull2, [ FA s; FA d ] when wr d -> arith2 s d do_mul ~ovf:true
-  | Opcode.Divl2, [ FA s; FA d ] when wr d -> arith2 s d do_div ~ovf:false
-  | Opcode.Bisl2, [ FA s; FA d ] when wr d ->
-      arith2 s d (fun st x y -> do_logic st Word.logor x y) ~ovf:false
-  | Opcode.Bicl2, [ FA s; FA d ] when wr d ->
-      arith2 s d
-        (fun st x y -> do_logic st (fun a b -> Word.logand a (Word.lognot b)) x y)
-        ~ovf:false
-  | Opcode.Xorl2, [ FA s; FA d ] when wr d ->
-      arith2 s d (fun st x y -> do_logic st Word.logxor x y) ~ovf:false
-  | Opcode.Addl3, [ FA a; FA b; FA d ] when wr d -> arith3 a b d do_add ~ovf:true
-  | Opcode.Subl3, [ FA a; FA b; FA d ] when wr d ->
-      arith3 a b d (fun st x y -> do_sub st y x) ~ovf:true
-  | Opcode.Mull3, [ FA a; FA b; FA d ] when wr d -> arith3 a b d do_mul ~ovf:true
-  | Opcode.Divl3, [ FA a; FA b; FA d ] when wr d ->
-      arith3 a b d (fun st x y -> do_div st y x) ~ovf:false
-  | Opcode.Bisl3, [ FA a; FA b; FA d ] when wr d ->
-      arith3 a b d (fun st x y -> do_logic st Word.logor x y) ~ovf:false
-  | Opcode.Bicl3, [ FA a; FA b; FA d ] when wr d ->
-      arith3 a b d
-        (fun st x y -> do_logic st (fun a b -> Word.logand b (Word.lognot a)) x y)
-        ~ovf:false
-  | Opcode.Xorl3, [ FA a; FA b; FA d ] when wr d ->
-      arith3 a b d (fun st x y -> do_logic st Word.logxor x y) ~ovf:false
-  | (Opcode.Brb | Opcode.Brw), [ FB tofs ] -> cbr tofs (fun _ -> true)
-  | Opcode.Bneq, [ FB t ] -> cbr t (fun p -> not (Psl.z p))
-  | Opcode.Beql, [ FB t ] -> cbr t Psl.z
-  | Opcode.Bgtr, [ FB t ] -> cbr t (fun p -> not (Psl.n p || Psl.z p))
-  | Opcode.Bleq, [ FB t ] -> cbr t (fun p -> Psl.n p || Psl.z p)
-  | Opcode.Bgeq, [ FB t ] -> cbr t (fun p -> not (Psl.n p))
-  | Opcode.Blss, [ FB t ] -> cbr t Psl.n
-  | Opcode.Bgtru, [ FB t ] -> cbr t (fun p -> not (Psl.c p || Psl.z p))
-  | Opcode.Blequ, [ FB t ] -> cbr t (fun p -> Psl.c p || Psl.z p)
-  | Opcode.Bvc, [ FB t ] -> cbr t (fun p -> not (Psl.v p))
-  | Opcode.Bvs, [ FB t ] -> cbr t Psl.v
-  | Opcode.Bcc, [ FB t ] -> cbr t (fun p -> not (Psl.c p))
-  | Opcode.Bcs, [ FB t ] -> cbr t Psl.c
-  | (Opcode.Blbs | Opcode.Blbc), [ FA s; FB tofs ] ->
-      let want = if op = Opcode.Blbs then 1 else 0 in
-      slot (fun st pc np ->
-          charge_spec st;
-          let v = fread_long st pc s in
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          if v land 1 = want then State.set_pc st (Word.add pc tofs)
-          else State.set_pc st (Word.add pc len);
-          retire st pc was_vm)
-  | Opcode.Sobgtr, [ FA d; FB tofs ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let dv = fmodify_long st pc d in
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          let r = do_sub st dv 1 in
-          fwrite_long st pc d r;
-          if Word.to_signed r > 0 then State.set_pc st (Word.add pc tofs)
-          else State.set_pc st (Word.add pc len);
-          retire st pc was_vm)
-  | Opcode.Aoblss, [ FA l; FA d; FB tofs ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let lv = fread_long st pc l in
-          charge_spec st;
-          let dv = fmodify_long st pc d in
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          let r = do_add st dv 1 in
-          fwrite_long st pc d r;
-          if Word.signed_lt r lv then State.set_pc st (Word.add pc tofs)
-          else State.set_pc st (Word.add pc len);
-          retire st pc was_vm)
-  | Opcode.Bsbb, [ FB tofs ] ->
-      slot (fun st pc np ->
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          State.push_long st (Word.add pc len);
-          State.set_pc st (Word.add pc tofs);
-          retire st pc was_vm)
-  | Opcode.Jsb, [ FA (F_mem a) ] ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let va = faddr_va st pc a in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          State.push_long st (Word.add pc len);
-          State.set_pc st va;
-          retire st pc was_vm)
-  | Opcode.Jmp, [ FA (F_mem a) ] ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let va = faddr_va st pc a in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          State.set_pc st va;
-          retire st pc was_vm)
-  | Opcode.Rsb, [] ->
-      slot (fun st pc np ->
-          np := Word.add pc len;
-          let was_vm = commit st in
-          State.set_pc st (State.pop_long st);
-          retire st pc was_vm)
-  | _ -> None
-
-let compile_fast tmpl =
-  match compile_fast_hot tmpl with
-  | Some _ as r -> r
-  | None -> compile_fast_gen tmpl
+  if not (List.for_all fast_shape specs) then None
+  else
+    match (op, data, condition op, arith op) with
+    | _, [], Some cond, _ -> Some (emit_branch ~len ~enc ~base ~tofs cond)
+    | _, [ s; d ], _, Some o -> emit [ s; d ] (Op o) (dest d)
+    | _, [ a; b; d ], _, Some o -> emit [ a; b ] (Op o) (dest d)
+    | Opcode.Nop, [], _, _ -> emit [] (Jump Fall) Nowhere
+    | (Opcode.Movl | Opcode.Moval), [ s; d ], _, _ -> emit [ s ] (Mov Mov_l) (dest d)
+    | Opcode.Movb, [ s; d ], _, _ -> emit [ s ] (Mov Mov_b) (dest d)
+    | Opcode.Movzbl, [ s; d ], _, _ -> emit [ s ] (Mov Mov_zx) (dest d)
+    | Opcode.Clrl, [ d ], _, _ -> emit [] (Mov Mov_l) (dest d)
+    | Opcode.Clrb, [ d ], _, _ -> emit [] (Mov Mov_b) (dest d)
+    | Opcode.Pushl, [ s ], _, _ -> emit [ s ] (Mov Mov_l) Push
+    | Opcode.Tstl, [ s ], _, _ -> emit [ s ] (Op Tst) Nowhere
+    | Opcode.Tstb, [ s ], _, _ -> emit [ s ] (Op Tst_b) Nowhere
+    | Opcode.Cmpl, [ a; b ], _, _ -> emit [ a; b ] (Op Cmp) Nowhere
+    | Opcode.Cmpb, [ a; b ], _, _ -> emit [ a; b ] (Op Cmp_b) Nowhere
+    | Opcode.Incl, [ d ], _, _ -> emit [ d ] (Op Inc) (dest d)
+    | Opcode.Decl, [ d ], _, _ -> emit [ d ] (Op Dec) (dest d)
+    | Opcode.Mnegl, [ s; d ], _, _ -> emit [ s ] (Op Neg) (dest d)
+    | Opcode.Blbs, [ s ], _, _ -> emit [ s ] (Jump Blbs) Nowhere
+    | Opcode.Blbc, [ s ], _, _ -> emit [ s ] (Jump Blbc) Nowhere
+    | Opcode.Sobgtr, [ i ], _, _ -> emit [ i ] (Jump Sob) (dest i)
+    | Opcode.Aoblss, [ l; i ], _, _ -> emit [ l; i ] (Jump Aob) (dest i)
+    | Opcode.Bsbb, [], _, _ -> emit [] (Jump Bsb) Nowhere
+    | Opcode.Jsb, [ d ], _, _ -> emit [ d ] (Jump Jsb) Nowhere
+    | Opcode.Jmp, [ d ], _, _ -> emit [ d ] (Jump Jmp) Nowhere
+    | Opcode.Rsb, [], _, _ -> emit [] (Jump Rsb) Nowhere
+    | _ -> None
 
 (* Generic slot: [Decode.operandize] against the cached template with the
    handler and constants pre-resolved — the body of [step] after its
@@ -2349,17 +1393,11 @@ let generic_slot (tmpl : Decode_cache.template) =
     try
       let d = Decode.operandize st tmpl ~start_pc in
       decoded := Some d;
-      st.State.instructions <- st.State.instructions + 1;
-      let was_vm = Psl.vm st.State.psl in
-      if was_vm then st.State.vm_instructions <- st.State.vm_instructions + 1;
+      let was_vm = commit st in
       Cycles.charge st.State.clock base;
       let pc_set = h st d ~start_pc in
       if not pc_set then State.set_pc st d.Decode.next_pc;
-      let tr = st.State.trace in
-      if Vax_obs.Trace.enabled tr then
-        Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-          ~c:(if was_vm then 1 else 0)
-          start_pc
+      retire st enc start_pc was_vm
     with State.Fault f -> fault_finish st !decoded ~start_pc f
 
 let compile_slot tmpl =
@@ -2616,32 +1654,13 @@ let step_blocks st (bc : Block_cache.t) =
           | pa ->
               if bc.Block_cache.cur_pa = pa then begin
                 (* cursor hit on a cold memo (TB or mode changed since
-                   the advance): [exec_slot] inlined, re-arming the
-                   memo with the fresh generation *)
+                   the advance): [exec_slot] re-arms the memo with the
+                   fresh generation *)
                 let open Block_cache in
                 let b = bc.cur_block in
                 let ix = bc.cur_ix in
-                let s = Array.unsafe_get b.b_slots ix in
-                let phys = Mmu.phys mmu in
-                if s.s_gen1 = Phys_mem.page_gen phys (s.s_pa lsr Addr.page_shift)
-                then begin
-                  bc.hits <- bc.hits + 1;
-                  let nix = ix + 1 in
-                  if nix < Array.length b.b_slots then begin
-                    bc.cur_ix <- nix;
-                    bc.cur_pa <- (Array.unsafe_get b.b_slots nix).s_pa;
-                    bc.cur_va <- start_pc + s.s_len;
-                    bc.cur_fgen <- Tlb.mutation_generation (Mmu.tlb mmu);
-                    bc.cur_fmode <- State.cur_mode st;
-                    bc.cur_fhit <- Mmu.mapen mmu
-                  end
-                  else begin
-                    bc.cur_pa <- -1;
-                    bc.cur_va <- -1;
-                    bc.last <- b
-                  end;
-                  s.s_exec st start_pc
-                end
+                if slot_valid (Mmu.phys mmu) (Array.unsafe_get b.b_slots ix)
+                then exec_slot st bc b ix start_pc
                 else begin
                   Block_cache.invalidate bc b;
                   step_cold st bc pa start_pc

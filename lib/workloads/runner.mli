@@ -54,8 +54,10 @@ val run_bare :
     [flow] (default [true]) builds the oracle's static pass
     flow-sensitively (vaxflow); its gauges register as
     ["analysis.flow.*"] in the machine's metrics.
-    Simulated cycles, trace events and TLB statistics are
-    bit-identical with either engine — only wall-clock changes. *)
+    Simulated cycles, trace events and TLB misses and evictions are
+    bit-identical with either engine.  TLB hits are not: every
+    decode-cache refill fetches the instruction bytes through the TB
+    again, and the block engine refills less often. *)
 
 val run_vm :
   ?config:Vmm.config ->
