@@ -82,8 +82,9 @@ let do_div st a b =
       set_nzvc st ~n:(Word.to_signed r < 0) ~z:(r = 0) ~v:false ~c:false;
       r
 
-let do_logic st f a b =
-  let r = f a b in
+(* Takes the result, not the operation: without flambda, a function
+   passed as an argument stays an indirect call even once inlined. *)
+let do_logic st r =
   set_nzvc st ~n:(Word.to_signed r < 0) ~z:(r = 0) ~v:false
     ~c:(Psl.c st.State.psl);
   r
@@ -585,8 +586,9 @@ let handler_of : Opcode.t -> handler = function
         match d.Decode.operands with
         | [ src; dst ] ->
             let r =
-              do_logic st Word.logor (Decode.read_value st dst)
-                (Decode.read_value st src)
+              do_logic st
+                (Word.logor (Decode.read_value st dst)
+                   (Decode.read_value st src))
             in
             Decode.write_value st dst r;
             false
@@ -596,8 +598,8 @@ let handler_of : Opcode.t -> handler = function
         match d.Decode.operands with
         | [ a; b; dst ] ->
             let r =
-              do_logic st Word.logor (Decode.read_value st a)
-                (Decode.read_value st b)
+              do_logic st
+                (Word.logor (Decode.read_value st a) (Decode.read_value st b))
             in
             Decode.write_value st dst r;
             false
@@ -608,8 +610,8 @@ let handler_of : Opcode.t -> handler = function
         | [ src; dst ] ->
             let r =
               do_logic st
-                (fun d s -> Word.logand d (Word.lognot s))
-                (Decode.read_value st dst) (Decode.read_value st src)
+                (Word.logand (Decode.read_value st dst)
+                   (Word.lognot (Decode.read_value st src)))
             in
             Decode.write_value st dst r;
             false
@@ -619,11 +621,9 @@ let handler_of : Opcode.t -> handler = function
         match d.Decode.operands with
         | [ a; b; dst ] ->
             (* dst <- b AND NOT a *)
-            let r =
-              do_logic st
-                (fun a b -> Word.logand b (Word.lognot a))
-                (Decode.read_value st a) (Decode.read_value st b)
-            in
+            let bv = Decode.read_value st b in
+            let av = Decode.read_value st a in
+            let r = do_logic st (Word.logand bv (Word.lognot av)) in
             Decode.write_value st dst r;
             false
         | _ -> bad_operands ())
@@ -632,8 +632,9 @@ let handler_of : Opcode.t -> handler = function
         match d.Decode.operands with
         | [ src; dst ] ->
             let r =
-              do_logic st Word.logxor (Decode.read_value st dst)
-                (Decode.read_value st src)
+              do_logic st
+                (Word.logxor (Decode.read_value st dst)
+                   (Decode.read_value st src))
             in
             Decode.write_value st dst r;
             false
@@ -643,8 +644,8 @@ let handler_of : Opcode.t -> handler = function
         match d.Decode.operands with
         | [ a; b; dst ] ->
             let r =
-              do_logic st Word.logxor (Decode.read_value st a)
-                (Decode.read_value st b)
+              do_logic st
+                (Word.logxor (Decode.read_value st a) (Decode.read_value st b))
             in
             Decode.write_value st dst r;
             false
@@ -1063,9 +1064,9 @@ let compute st op a b =
   | Dec -> do_sub st a 1
   | Neg -> do_sub st 0 a
   | Div -> do_div st b a
-  | Bis -> do_logic st Word.logor a b
-  | Bic -> do_logic st (fun a b -> Word.logand b (Word.lognot a)) a b
-  | Xor -> do_logic st Word.logxor a b
+  | Bis -> do_logic st (Word.logor a b)
+  | Bic -> do_logic st (Word.logand b (Word.lognot a))
+  | Xor -> do_logic st (Word.logxor a b)
   | Cmp ->
       compare_long st a b;
       0
