@@ -296,7 +296,6 @@ let machine_stats () =
     ("trap_rate", if instructions > 0.0 then traps /. instructions else 0.0);
     ("block_hit_rate", if bdispatch > 0.0 then bhits /. bdispatch else 0.0);
     ("blocks_built", get "blocks.built");
-    ("block_chains", get "blocks.chains");
     ("block_invalidations", get "blocks.invalidations");
   ]
   @ fleet_stats ()

@@ -168,11 +168,6 @@ let push_vm_frame t (vm : Vm.t) ~target_slot ~params ~pc ~psl =
   vm.Vm.sps.(target_slot) <- !sp
 
 let reflect_exception t (vm : Vm.t) ~vector ~params ~pc =
-  if Sys.getenv_opt "VMM_DEBUG" <> None then
-    Format.eprintf "reflect %s vec=0x%x pc=%x params=%s sps0=%x@."
-      vm.Vm.name vector pc
-      (String.concat "," (List.map (Printf.sprintf "%x") params))
-      vm.Vm.sps.(0);
   charge t Cost.vmm_interrupt_deliver;
   vm.Vm.stats.Vm.reflected_faults <- vm.Vm.stats.Vm.reflected_faults + 1;
   match

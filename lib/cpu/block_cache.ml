@@ -8,15 +8,9 @@ type slot = {
   s_exec : State.t -> Word.t -> unit;
 }
 
-type block = {
-  b_pa : int;
-  b_slots : slot array;
-  mutable b_chain1 : block;
-  mutable b_chain2 : block;
-}
+type block = { b_pa : int; b_slots : slot array }
 
-let rec empty_block =
-  { b_pa = -1; b_slots = [||]; b_chain1 = empty_block; b_chain2 = empty_block }
+let empty_block = { b_pa = -1; b_slots = [||] }
 
 type t = {
   blocks : block array;
@@ -36,7 +30,6 @@ type t = {
   mutable cur_fgen : int;
   mutable cur_fmode : Mode.t;
   mutable cur_fhit : bool;
-  mutable last : block;  (* block just exited, awaiting a chain link *)
   (* builder: slots accumulated from the cold path *)
   bld_slots : slot array;
   mutable bld_n : int;
@@ -45,19 +38,17 @@ type t = {
   (* statistics *)
   mutable hits : int;
   mutable misses : int;
-  mutable chains : int;
   mutable built : int;
   mutable invalidations : int;
 }
 
 let null_slot = { s_pa = -1; s_len = 0; s_gen1 = 0; s_exec = (fun _ _ -> ()) }
 
-let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
+(* table slots (a power of two) and slots per block *)
+let size = 2048
+let max_block = 32
 
-let default_max_block = 32
-
-let create ?(size = 2048) ?(max_block = default_max_block) () =
-  let size = max 64 (next_pow2 size 1) in
+let create () =
   {
     blocks = Array.make size empty_block;
     mask = size - 1;
@@ -68,14 +59,12 @@ let create ?(size = 2048) ?(max_block = default_max_block) () =
     cur_fgen = 0;
     cur_fmode = Mode.Kernel;
     cur_fhit = false;
-    last = empty_block;
-    bld_slots = Array.make (max 2 max_block) null_slot;
+    bld_slots = Array.make max_block null_slot;
     bld_n = 0;
     bld_pa = -1;
     bld_next_pa = -1;
     hits = 0;
     misses = 0;
-    chains = 0;
     built = 0;
     invalidations = 0;
   }
@@ -98,8 +87,7 @@ let invalidate t b =
   if t.cur_block == b then begin
     t.cur_pa <- -1;
     t.cur_va <- -1
-  end;
-  if t.last == b then t.last <- empty_block
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Builder *)
@@ -128,15 +116,7 @@ let bld_append t s =
 let bld_finish t =
   let n = t.bld_n in
   if bld_active t && n > 0 then begin
-    let b =
-      {
-        b_pa = t.bld_pa;
-        b_slots = Array.sub t.bld_slots 0 n;
-        b_chain1 = empty_block;
-        b_chain2 = empty_block;
-      }
-    in
-    insert t b;
+    insert t { b_pa = t.bld_pa; b_slots = Array.sub t.bld_slots 0 n };
     t.built <- t.built + 1
   end;
   bld_reset t;
@@ -146,14 +126,12 @@ let bld_finish t =
 
 let hits t = t.hits
 let misses t = t.misses
-let chains t = t.chains
 let built t = t.built
 let invalidations t = t.invalidations
 
 let reset_stats t =
   t.hits <- 0;
   t.misses <- 0;
-  t.chains <- 0;
   t.built <- 0;
   t.invalidations <- 0
 
@@ -163,5 +141,4 @@ let clear t =
   t.cur_ix <- 0;
   t.cur_pa <- -1;
   t.cur_va <- -1;
-  t.last <- empty_block;
   bld_reset t

@@ -23,8 +23,12 @@
     per slot, not per block, so a store by instruction [k] into the bytes
     of instruction [k+1] of the same block is caught before [k+1] runs.
 
+    A block head is found through the direct-mapped table alone, so two
+    hot blocks whose addresses collide in it evict each other and are
+    rebuilt on every entry.
+
     The record types are transparent: [Exec.step_blocks] is the single
-    driver and manipulates the cursor, chain links and builder directly.
+    driver and manipulates the cursor and builder directly.
 
     This module only stores; compilation of slot closures and the
     dispatch loop live in [Exec]. *)
@@ -42,15 +46,7 @@ type slot = {
           [Exec.step] does after its decode-cache probe *)
 }
 
-type block = {
-  b_pa : int;
-  b_slots : slot array;
-  mutable b_chain1 : block;
-      (** most-recently observed successor block ({!empty_block} when
-          none): taken-branch and fall-through exits chain here without
-          a table probe *)
-  mutable b_chain2 : block;  (** second chance, e.g. the not-taken exit *)
-}
+type block = { b_pa : int; b_slots : slot array }
 
 val empty_block : block
 (** Sentinel: never valid (its [b_pa] is -1), compared with [==]. *)
@@ -80,21 +76,18 @@ type t = {
   mutable cur_fmode : Mode.t;  (** access mode at the previous fetch *)
   mutable cur_fhit : bool;
       (** the skipped lookup would count a TB hit (mapping enabled) *)
-  mutable last : block;  (** block just exited, awaiting a chain link *)
   bld_slots : slot array;
   mutable bld_n : int;
   mutable bld_pa : int;
   mutable bld_next_pa : int;
   mutable hits : int;  (** slots executed through the cursor or a block entry *)
   mutable misses : int;  (** cold-path instructions *)
-  mutable chains : int;  (** block entries through a chain link *)
   mutable built : int;  (** blocks finalized *)
   mutable invalidations : int;  (** blocks dropped on a generation mismatch *)
 }
 
-val create : ?size:int -> ?max_block:int -> unit -> t
-(** [size] block table slots (default 2048, rounded up to a power of
-    two); [max_block] slots per block (default 32). *)
+val create : unit -> t
+(** 2048 block table slots, up to 32 slots per block. *)
 
 val slot_valid : Vax_mem.Phys_mem.t -> slot -> bool
 (** Every page of the slot's bytes still has its build-time store
@@ -108,7 +101,7 @@ val insert : t -> block -> unit
 
 val invalidate : t -> block -> unit
 (** Drop a stale block from the table (if still resident) and from the
-    cursor/chain anchors. *)
+    cursor. *)
 
 (** {1 Builder} — accumulates slots as the cold path executes them *)
 
@@ -126,7 +119,6 @@ val bld_finish : t -> int
 
 val hits : t -> int
 val misses : t -> int
-val chains : t -> int
 val built : t -> int
 val invalidations : t -> int
 val reset_stats : t -> unit

@@ -44,10 +44,9 @@ type t = {
   mutable misses : int;
 }
 
-let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
+let size = 8192 (* a power of two *)
 
-let create ?(size = 8192) () =
-  let size = max 64 (next_pow2 size 1) in
+let create () =
   {
     pas = Array.make size (-1);
     page_gens = Array.make size 0;

@@ -56,8 +56,8 @@ val empty_template : template
 
 type t
 
-val create : ?size:int -> unit -> t
-(** [size] slots (default 8192), rounded up to a power of two. *)
+val create : unit -> t
+(** 8192 slots. *)
 
 val find : t -> mmu:Mmu.t -> int -> template
 (** [find t ~mmu pa] returns the live template for the instruction at

@@ -832,9 +832,8 @@ let[@inline] retire st enc start_pc was_vm =
       ~c:(if was_vm then 1 else 0)
       start_pc
 
-(* The post-decode half of a step, shared verbatim between the per-step
-   loop and the block engine's cold path so the two engines agree on
-   counter/charge/retire order by construction. *)
+(* The post-decode half of a step: counters, base charge, execution,
+   PC update and retire, in that order for every engine. *)
 let run_decoded st (d : Decode.decoded) ~start_pc =
   let was_vm = commit st in
   Cycles.charge st.State.clock (Opcode.base_cycles d.Decode.opcode);
@@ -868,6 +867,39 @@ let straddle_pa2 st start_pc (tmpl : Decode_cache.template) pa =
   end
   else None
 
+let no_feed _ _ = ()
+
+(* The step protocol, in one copy for every engine.  The instruction at
+   [start_pc] comes from [tmpl] when the caller holds its template (a
+   generic block slot); when [tmpl] is [Decode_cache.empty_template] it
+   comes from the decode cache at physical [pa], decoded and stored on a
+   miss.  Then [run_decoded], with any fault delivered by [fault_finish].
+   [feed] sees each template the probe yields before the instruction
+   runs: on a hit before [Decode.operandize] (which may fault), on a miss
+   after [Decode.decode] succeeds. *)
+let step_at st ~feed ~start_pc pa tmpl =
+  let decoded = ref None in
+  try
+    let d =
+      if tmpl != Decode_cache.empty_template then
+        Decode.operandize st tmpl ~start_pc
+      else
+        match Decode_cache.find st.State.dcache ~mmu:st.State.mmu pa with
+        | tmpl ->
+            feed pa tmpl;
+            Decode.operandize st tmpl ~start_pc
+        | exception Not_found ->
+            let d = Decode.decode st in
+            Decode_cache.store st.State.dcache ~mmu:st.State.mmu
+              ?pa2:(straddle_pa2 st start_pc d.Decode.tmpl pa)
+              pa d.Decode.tmpl;
+            feed pa d.Decode.tmpl;
+            d
+    in
+    decoded := Some d;
+    run_decoded st d ~start_pc
+  with State.Fault f -> fault_finish st !decoded ~start_pc f
+
 let step st =
   if st.State.halted then Machine_halted
   else if st.State.stop_requested then Stopped
@@ -876,25 +908,14 @@ let step st =
     | Some (ipl, vector) -> Microcode.take_interrupt st ~ipl ~vector
     | None -> (
         let start_pc = State.pc st in
-        let decoded = ref None in
-        try
-          let d =
-            (* consult the decode cache by physical PC; the lookup
-               translation reproduces the fault/cycle behaviour of an
-               uncached first-byte fetch *)
-            let pa = State.code_pa st start_pc in
-            match Decode_cache.find st.State.dcache ~mmu:st.State.mmu pa with
-            | tmpl -> Decode.operandize st tmpl ~start_pc
-            | exception Not_found ->
-                let d = Decode.decode st in
-                Decode_cache.store st.State.dcache ~mmu:st.State.mmu
-                  ?pa2:(straddle_pa2 st start_pc d.Decode.tmpl pa)
-                  pa d.Decode.tmpl;
-                d
-          in
-          decoded := Some d;
-          run_decoded st d ~start_pc
-        with State.Fault f -> fault_finish st !decoded ~start_pc f));
+        (* the decode cache is keyed by physical PC; the lookup
+           translation reproduces the fault/cycle behaviour of an
+           uncached first-byte fetch *)
+        match State.code_pa st start_pc with
+        | exception State.Fault f ->
+            Microcode.dispatch_fault st ~start_pc ~next_pc:start_pc f
+        | pa ->
+            step_at st ~feed:no_feed ~start_pc pa Decode_cache.empty_template));
     if st.State.halted then Machine_halted
     else if st.State.stop_requested then Stopped
     else Stepped
@@ -921,8 +942,8 @@ let run st ?(max_instructions = max_int) () =
 (* side-effect-free shapes compiles to a fast slot: operands resolved   *)
 (* to readers and destinations, an arity emitter that owns the charge,  *)
 (* commit, fault and retire protocol, and a per-opcode kernel.          *)
-(* Everything else gets [generic_slot], the body of [step] with the     *)
-(* handler pre-resolved.                                                *)
+(* Everything else gets [generic_slot], the step protocol [step_at]    *)
+(* on the slot's own template.                                          *)
 (* ================================================================== *)
 
 (* Fast operands.  A side-effect-free specifier resolves once, at build
@@ -1382,24 +1403,9 @@ let compile_fast (tmpl : Decode_cache.template) =
     | Opcode.Rsb, [], _, _ -> emit [] (Jump Rsb) Nowhere
     | _ -> None
 
-(* Generic slot: [Decode.operandize] against the cached template with the
-   handler and constants pre-resolved — the body of [step] after its
-   decode-cache probe, verbatim. *)
-let generic_slot (tmpl : Decode_cache.template) =
-  let h = handler_of tmpl.Decode_cache.t_opcode in
-  let base = Opcode.base_cycles tmpl.Decode_cache.t_opcode in
-  let enc = enc_int tmpl.Decode_cache.t_opcode in
-  fun st start_pc ->
-    let decoded = ref None in
-    try
-      let d = Decode.operandize st tmpl ~start_pc in
-      decoded := Some d;
-      let was_vm = commit st in
-      Cycles.charge st.State.clock base;
-      let pc_set = h st d ~start_pc in
-      if not pc_set then State.set_pc st d.Decode.next_pc;
-      retire st enc start_pc was_vm
-    with State.Fault f -> fault_finish st !decoded ~start_pc f
+(* Generic slot: the step protocol on the slot's own template, which
+   skips the decode-cache probe (the physical PC is then unused). *)
+let generic_slot tmpl st start_pc = step_at st ~feed:no_feed ~start_pc (-1) tmpl
 
 let compile_slot tmpl =
   match compile_fast tmpl with Some f -> f | None -> generic_slot tmpl
@@ -1470,29 +1476,12 @@ let feed_builder st (bc : Block_cache.t) pa (tmpl : Decode_cache.template) =
     then finish_builder st bc
   end
 
-(* Cold path: the per-step decode pipeline, plus feeding the builder. *)
+(* Cold path: the step protocol, feeding the builder. *)
 let step_cold st (bc : Block_cache.t) pa start_pc =
   bc.Block_cache.misses <- bc.Block_cache.misses + 1;
   bc.Block_cache.cur_pa <- -1;
   bc.Block_cache.cur_va <- -1;
-  let decoded = ref None in
-  try
-    let d =
-      match Decode_cache.find st.State.dcache ~mmu:st.State.mmu pa with
-      | tmpl ->
-          feed_builder st bc pa tmpl;
-          Decode.operandize st tmpl ~start_pc
-      | exception Not_found ->
-          let d = Decode.decode st in
-          Decode_cache.store st.State.dcache ~mmu:st.State.mmu
-            ?pa2:(straddle_pa2 st start_pc d.Decode.tmpl pa)
-            pa d.Decode.tmpl;
-          feed_builder st bc pa d.Decode.tmpl;
-          d
-    in
-    decoded := Some d;
-    run_decoded st d ~start_pc
-  with State.Fault f -> fault_finish st !decoded ~start_pc f
+  step_at st ~feed:(feed_builder st bc) ~start_pc pa Decode_cache.empty_template
 
 (* Execute the slot at the cursor and advance the cursor (before the
    slot runs: a fault or branch simply makes the prediction miss).  The
@@ -1520,62 +1509,21 @@ let exec_slot st (bc : Block_cache.t) (b : Block_cache.block) ix start_pc =
   end
   else begin
     bc.cur_pa <- -1;
-    bc.cur_va <- -1;
-    bc.last <- b
+    bc.cur_va <- -1
   end;
   s.s_exec st start_pc
 
-(* Entry at a block head: try the chain links of the block we just left,
-   then the table; install/refresh the chain link on a table hit. *)
+(* Entry at a block head, found through the table. *)
 let enter_block st (bc : Block_cache.t) pa start_pc =
   let open Block_cache in
-  let phys = Mmu.phys st.State.mmu in
-  let valid b =
-    b != empty_block && b.b_pa = pa
-    && slot_valid phys (Array.unsafe_get b.b_slots 0)
-  in
-  let last = bc.last in
-  bc.last <- empty_block;
-  let b =
-    if last != empty_block then begin
-      let c1 = last.b_chain1 in
-      if valid c1 then begin
-        bc.chains <- bc.chains + 1;
-        c1
-      end
-      else begin
-        let c2 = last.b_chain2 in
-        if valid c2 then begin
-          (* promote the second-chance link *)
-          last.b_chain2 <- c1;
-          last.b_chain1 <- c2;
-          bc.chains <- bc.chains + 1;
-          c2
-        end
-        else empty_block
-      end
-    end
-    else empty_block
-  in
-  let b =
-    if b != empty_block then b
-    else begin
-      let t = lookup bc pa in
-      if valid t then begin
-        if last != empty_block && last.b_chain1 != t then begin
-          last.b_chain2 <- last.b_chain1;
-          last.b_chain1 <- t
-        end;
-        t
-      end
-      else begin
-        if t != empty_block then invalidate bc t;
-        empty_block
-      end
-    end
-  in
-  if b != empty_block then exec_slot st bc b 0 start_pc
-  else step_cold st bc pa start_pc
+  let b = lookup bc pa in
+  if b == empty_block then step_cold st bc pa start_pc
+  else if slot_valid (Mmu.phys st.State.mmu) (Array.unsafe_get b.b_slots 0)
+  then exec_slot st bc b 0 start_pc
+  else begin
+    invalidate bc b;
+    step_cold st bc pa start_pc
+  end
 
 (* One architectural step under the block engine.  The machine loop keeps
    calling this once per instruction, so device scheduling, interrupt
@@ -1588,10 +1536,9 @@ let step_blocks st (bc : Block_cache.t) =
   else begin
     (match State.highest_pending st with
     | Some (ipl, vector) ->
-        (* prediction and pending chain link die across the delivery *)
+        (* the prediction dies across the delivery *)
         bc.Block_cache.cur_pa <- -1;
         bc.Block_cache.cur_va <- -1;
-        bc.Block_cache.last <- Block_cache.empty_block;
         Microcode.take_interrupt st ~ipl ~vector
     | None ->
         let start_pc = State.pc st in
@@ -1631,8 +1578,7 @@ let step_blocks st (bc : Block_cache.t) =
             end
             else begin
               bc.cur_pa <- -1;
-              bc.cur_va <- -1;
-              bc.last <- b
+              bc.cur_va <- -1
             end;
             s.s_exec st start_pc
           end

@@ -29,8 +29,8 @@ val step_blocks : State.t -> Block_cache.t -> status
 (** One architectural step under the block engine.  Interrupts are
     sampled at every instruction boundary, exactly as in {!step}: a block
     never runs more than one instruction per call — the cache contributes
-    compiled slots (operands pre-resolved, handlers pre-dispatched) and
-    chain links, not a different interleaving. *)
+    compiled slots (operands pre-resolved, handlers pre-dispatched), not
+    a different interleaving. *)
 
 val run_blocks : State.t -> Block_cache.t -> ?max_instructions:int -> unit -> status
 (** [run] under the block engine. *)

@@ -95,8 +95,6 @@ let create ?(variant = Variant.Standard) ?(memory_pages = 2048)
       Block_cache.hits bcache);
   Vax_obs.Metrics.register metrics "blocks.misses" (fun () ->
       Block_cache.misses bcache);
-  Vax_obs.Metrics.register metrics "blocks.chains" (fun () ->
-      Block_cache.chains bcache);
   Vax_obs.Metrics.register metrics "blocks.built" (fun () ->
       Block_cache.built bcache);
   Vax_obs.Metrics.register metrics "blocks.invalidations" (fun () ->

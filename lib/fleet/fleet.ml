@@ -176,15 +176,11 @@ let run ?jobs specs =
       (if wall_seconds > 0.0 then float_of_int n /. wall_seconds else 0.0);
   }
 
-let run_fleet = run
-
 let crashed report =
   Array.fold_right
     (fun (job, r) acc ->
       match r with Ok _ -> acc | Error e -> (job, e) :: acc)
     report.results []
-
-let quarantined = crashed
 
 let mode_name = function Bare -> "bare" | Vm -> "vm"
 let outcome_name o = Format.asprintf "%a" Machine.pp_outcome o

@@ -102,14 +102,8 @@ val run : ?jobs:int -> job list -> report
     everything runs on the calling domain — the serial baseline the
     determinism tests compare against. *)
 
-val run_fleet : ?jobs:int -> job list -> report
-(** Alias of {!run} (the name the tests and docs use). *)
-
 val crashed : report -> (job * job_error) list
 (** The jobs whose every attempt raised, with their diagnostics. *)
-
-val quarantined : report -> (job * job_error) list
-(** Alias of {!crashed}: the failed-and-isolated jobs. *)
 
 val to_json : report -> Vax_obs.Json.t
 (** The [vax-fleet/2] report: batch figures, per-job results in input

@@ -49,10 +49,10 @@ type t = {
          compare against it. *)
 }
 
-let create ?tlb_capacity ?(policy = Hardware_sets_m) ~phys ~clock () =
+let create ?(policy = Hardware_sets_m) ~phys ~clock () =
   {
     phys;
-    tlb = Tlb.create ?capacity:tlb_capacity ();
+    tlb = Tlb.create ();
     clock;
     policy;
     mapen = false;

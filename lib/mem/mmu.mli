@@ -38,7 +38,6 @@ type fault =
 val pp_fault : Format.formatter -> fault -> unit
 
 val create :
-  ?tlb_capacity:int ->
   ?policy:modify_policy ->
   phys:Phys_mem.t ->
   clock:Cycles.t ->

@@ -343,6 +343,62 @@ let test_block_cache_engages () =
     "hits dominate misses" true
     (Block_cache.hits bc > Block_cache.misses bc)
 
+(* Two hot blocks whose physical addresses are congruent modulo the block
+   table share its slot: the loop head calls a subroutine exactly one
+   table's span away, so each entry evicts the other block and rebuilds
+   its own.  The table is the only way back into a block, so every
+   iteration rebuilds both; the engines must still agree on everything. *)
+let test_table_collision () =
+  let iterations = 20 in
+  let span = Array.length (Block_cache.create ()).Block_cache.blocks in
+  let run engine =
+    let cpu, img =
+      boot ~engine (fun a ->
+          Asm.ins a Opcode.Movl [ Asm.Imm iterations; Asm.R 2 ];
+          let loop = Asm.here a in
+          Asm.label a "loop";
+          Asm.ins a Opcode.Incl [ Asm.R 0 ];
+          Asm.ins a Opcode.Addl2 [ Asm.Lit 3; Asm.R 0 ];
+          Asm.ins a Opcode.Jsb [ Asm.Abs_label "sub" ];
+          Asm.ins a Opcode.Sobgtr [ Asm.R 2; Asm.Branch "loop" ];
+          Asm.ins a Opcode.Halt [];
+          Asm.space a (loop + span - Asm.here a);
+          Asm.label a "sub";
+          Asm.ins a Opcode.Incl [ Asm.R 1 ];
+          Asm.ins a Opcode.Addl2 [ Asm.R 0; Asm.R 1 ];
+          Asm.ins a Opcode.Rsb [])
+    in
+    check_int "blocks one table span apart" span
+      (Asm.lookup img "sub" - Asm.lookup img "loop");
+    let events = ref [] in
+    let tr = Vax_obs.Trace.create () in
+    Vax_obs.Trace.set_sink tr
+      (Some
+         (fun ~seq:_ kind ~a ~b ~c ->
+           if kind <> Vax_obs.Trace.Block_build then
+             events := (Vax_obs.Trace.kind_code kind, a, b, c) :: !events));
+    Vax_obs.Trace.set_enabled tr true;
+    cpu.Cpu.state.State.trace <- tr;
+    (match Cpu.run cpu ~max_instructions:1000 () with
+    | Exec.Machine_halted -> ()
+    | _ -> Alcotest.fail "no halt");
+    (cpu_summary cpu, List.rev !events, Block_cache.built cpu.Cpu.bcache)
+  in
+  let s, s_events, _ = run Exec.Stepper and b, b_events, built = run Exec.Blocks in
+  let rs, ps, cs, is = s and rb, pb, cb, ib = b in
+  Alcotest.(check (list int)) "registers" rs rb;
+  check_int "psl" ps pb;
+  check_int "cycles" cs cb;
+  check_int "instructions" is ib;
+  check_int "loop ran" (4 * iterations) (List.nth rs 0);
+  Alcotest.(check bool) "trace recorded" true (s_events <> []);
+  Alcotest.(check bool) "trace identical" true (s_events = b_events);
+  (* the loop and subroutine blocks are rebuilt on every entry *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d blocks built for %d iterations" built iterations)
+    true
+    (built >= 2 * iterations)
+
 (* ------------------------------------------------------------------ *)
 (* Operand-shape sweep: every opcode the fast slot compiler accepts,
    crossed with every operand kind the assembler can encode for each
@@ -638,6 +694,8 @@ let () =
             test_smc_operand_patch;
           Alcotest.test_case "page-straddler second-page store" `Quick
             test_straddler_invalidation;
+          Alcotest.test_case "block table collision: blocks = stepper" `Quick
+            test_table_collision;
         ] );
       ( "engagement",
         [

@@ -261,7 +261,7 @@ let test_fleet_quarantine_diagnostics () =
     }
   in
   let report = Fleet.run ~jobs:1 [ job ] in
-  match Fleet.quarantined report with
+  match Fleet.crashed report with
   | [ (j, e) ] ->
       Alcotest.(check string) "job named" "doomed" j.Fleet.job_name;
       check_int "all attempts exhausted" 3 e.Fleet.attempts;
